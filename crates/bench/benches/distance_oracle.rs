@@ -1,5 +1,6 @@
 //! Shortest-distance engines (§6.1's infrastructure): plain Dijkstra
-//! vs hub labels vs hub labels behind the LRU cache, on a grid city.
+//! vs hub labels vs hub labels behind the LRU cache, on a grid city,
+//! plus the one-off hub-label build on the Chengdu-sized ring city.
 
 use std::sync::Arc;
 
@@ -7,16 +8,22 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use road_network::cache::LruCachedOracle;
+use road_network::hub_labels::HubLabels;
 use road_network::oracle::{DijkstraOracle, DistanceOracle, HubLabelOracle};
 use road_network::VertexId;
-use urpsm_workloads::network_gen::grid_city;
+use urpsm_workloads::network_gen::{grid_city, ring_radial_city};
 
 fn bench_oracles(c: &mut Criterion) {
     let g = Arc::new(grid_city(40, 40, 400.0, 1));
     let n = g.num_vertices() as u32;
     let dij = DijkstraOracle::new(g.clone());
-    let hub = HubLabelOracle::build(g.clone());
-    let cached = LruCachedOracle::new(HubLabelOracle::build(g.clone()), 1 << 18, 1 << 10);
+    let labels = HubLabels::build(&g);
+    let hub = HubLabelOracle::from_labels(g.clone(), labels.clone());
+    let cached = LruCachedOracle::new(
+        HubLabelOracle::from_labels(g.clone(), labels),
+        1 << 18,
+        1 << 10,
+    );
 
     // A Zipf-ish query mix: 20% of vertices get 80% of the traffic,
     // like hotspot-heavy taxi demand.
@@ -60,6 +67,10 @@ fn bench_oracles(c: &mut Criterion) {
             cached.dis(u, v)
         })
     });
+    // Index preprocessing: a vertex-order regression shows up here as
+    // a build several times slower (and labels several times larger).
+    let ring = ring_radial_city(24, 48, 600.0);
+    group.bench_function("build_labels", |b| b.iter(|| HubLabels::build(&ring)));
     group.finish();
 }
 

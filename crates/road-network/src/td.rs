@@ -23,7 +23,11 @@
 //!    with static cost `c`, `h(x) ≤ c + h(y) ≤ stretched(x, y, ·) +
 //!    h(y)` by the triangle inequality of the static metric. Consistent
 //!    potentials keep the search label-setting — every vertex settles
-//!    once, and the first pop of the target is optimal.
+//!    once, and the first pop of the target is optimal. Each search
+//!    loads the target's label into a rank-indexed table once
+//!    ([`HubLabels::load_target`]), so a potential is one scan of the
+//!    pushed vertex's label rather than a two-label merge — the same
+//!    number, hence the same settled vertices.
 //! 2. **A time-bucketed sharded LRU** ([`TdCachedOracle`]). The profile
 //!    is piecewise-constant per bucket, so trips that start *and
 //!    finish* inside one bucket see a constant-cost graph; caching
@@ -151,7 +155,8 @@ impl TdSearchStats {
 const NO_PARENT: u32 = u32::MAX;
 
 /// Generation-stamped search arenas: dist / parent / potential columns
-/// cleared in O(1) via an epoch counter, plus a reusable binary heap.
+/// cleared in O(1) via an epoch counter, the target's hub table, plus
+/// a reusable binary heap.
 /// One of these per concurrent search; [`TdDijkstra`] pools them.
 #[derive(Debug, Default)]
 struct SearchState {
@@ -160,6 +165,9 @@ struct SearchState {
     parent: Vec<u32>,
     /// Memoized A* potential (static hub-label distance to the target).
     pot: Vec<Cost>,
+    /// The target's label scattered by hub rank while a goal-directed
+    /// search runs ([`HubLabels::load_target`]); all [`INF`] otherwise.
+    target: Vec<Cost>,
     epoch: Vec<u32>,
     pot_epoch: Vec<u32>,
     current_epoch: u32,
@@ -181,6 +189,7 @@ impl SearchState {
             self.dist.resize(n, INF);
             self.parent.resize(n, NO_PARENT);
             self.pot.resize(n, 0);
+            self.target.resize(n, INF);
             self.epoch.resize(n, 0);
             self.pot_epoch.resize(n, 0);
         }
@@ -195,14 +204,16 @@ impl SearchState {
         }
     }
 
+    /// Static distance from vertex `i` to the loaded target, memoized
+    /// per search; `0` without labels.
     #[inline]
-    fn potential(&mut self, labels: Option<&HubLabels>, i: usize, target: VertexId) -> Cost {
+    fn potential(&mut self, labels: Option<&HubLabels>, i: usize) -> Cost {
         match labels {
             None => 0,
             Some(l) => {
                 if self.pot_epoch[i] != self.current_epoch {
                     self.pot_epoch[i] = self.current_epoch;
-                    self.pot[i] = l.distance(VertexId(i as u32), target);
+                    self.pot[i] = l.distance_to_loaded(VertexId(i as u32), &self.target);
                 }
                 self.pot[i]
             }
@@ -231,7 +242,30 @@ impl SearchState {
         self.heap.clear();
         self.touch(s.idx());
         self.dist[s.idx()] = 0;
-        let f0 = self.potential(labels, s.idx(), t);
+        // `s` is validated by `touch` and `t` by `load_target` before it
+        // writes, so nothing between load and unload can panic and leave
+        // a dirty table behind.
+        if let Some(l) = labels {
+            l.load_target(t, &mut self.target);
+        }
+        let d = self.search(g, profile, labels, s, t, depart);
+        if let Some(l) = labels {
+            l.unload_target(t, &mut self.target);
+        }
+        d
+    }
+
+    /// The A* loop of [`SearchState::run`], with the target loaded.
+    fn search(
+        &mut self,
+        g: &RoadNetwork,
+        profile: &CongestionProfile,
+        labels: Option<&HubLabels>,
+        s: VertexId,
+        t: VertexId,
+        depart: u64,
+    ) -> Cost {
+        let f0 = self.potential(labels, s.idx());
         if f0 >= INF {
             return INF; // statically disconnected ⇒ TD-disconnected
         }
@@ -260,7 +294,7 @@ impl SearchState {
                 if nd < self.dist[n] {
                     self.dist[n] = nd;
                     self.parent[n] = v;
-                    let h = self.potential(labels, n, t);
+                    let h = self.potential(labels, n);
                     self.heap.push(Reverse((cost_add(nd, h), !nd, n as u32)));
                     self.relaxed += 1;
                 }

@@ -137,6 +137,14 @@ impl WorkerMotion {
             match oracle.shortest_path(from, to) {
                 Some(verts) if verts.len() >= 2 && verts[0] == from => {
                     self.path.reserve(verts.len() - 1);
+                    // One `dis` per hop: the cumulative hop costs go
+                    // into `path` first, then are rewritten in place.
+                    let first = self.path.len();
+                    let mut b: Cost = 0;
+                    for pair in verts.windows(2) {
+                        b = cost_add(b, oracle.dis(pair[0], pair[1]));
+                        self.path.push((pair[1], 0, b));
+                    }
                     // Offsets are normalized to the leg's stored base:
                     // for an ordinary leg `leg_base` equals the path
                     // total and the scaling is exact identity, but a
@@ -146,22 +154,15 @@ impl WorkerMotion {
                     // Scaling keeps the invariant "last offset equals
                     // the leg base", which is what the driven ledger
                     // telescopes over.
-                    let total: Cost = verts
-                        .windows(2)
-                        .map(|pair| oracle.dis(pair[0], pair[1]))
-                        .fold(0, cost_add);
-                    let scale = |b: Cost| -> Cost {
-                        if total == 0 {
+                    let total = b;
+                    for entry in &mut self.path[first..] {
+                        let s = if total == 0 {
                             leg_base
                         } else {
-                            ((u128::from(leg_base) * u128::from(b)) / u128::from(total)) as Cost
-                        }
-                    };
-                    let mut b: Cost = 0;
-                    for pair in verts.windows(2) {
-                        b = cost_add(b, oracle.dis(pair[0], pair[1]));
-                        let s = scale(b);
-                        self.path.push((pair[1], at_offset(s), s));
+                            ((u128::from(leg_base) * u128::from(entry.2)) / u128::from(total))
+                                as Cost
+                        };
+                        *entry = (entry.0, at_offset(s), s);
                     }
                 }
                 _ => {
@@ -496,6 +497,21 @@ mod tests {
         assert_eq!(route.vertex(0), VertexId(0), "worker must hold position");
         assert_eq!(route.start_time(), 0);
         assert_eq!(motion.driven, 0, "no INF may leak into the ledger");
+    }
+
+    #[test]
+    fn leg_expansion_queries_each_hop_once() {
+        use road_network::oracle::CountingOracle;
+        let (mut state, _) = setup();
+        assign(&mut state, 1, 5, 10);
+        let oracle = CountingOracle::new(line_oracle(30));
+        let mut motion = WorkerMotion::default();
+        // t=250 lands mid-way on the 5-hop leg 0 → 5: one expansion.
+        motion.advance(&mut state, WorkerId(0), 250, &oracle, |_, _| {});
+        assert_eq!(state.agent(WorkerId(0)).route.vertex(0), VertexId(3));
+        let stats = oracle.stats();
+        assert_eq!(stats.path, 1);
+        assert_eq!(stats.dis, 5, "one dis query per hop of the leg");
     }
 
     #[test]

@@ -5,6 +5,8 @@
 use std::sync::Arc;
 
 use urpsm::network::cache::LruCachedOracle;
+use urpsm::network::dijkstra::DijkstraEngine;
+use urpsm::network::hub_labels::HubLabels;
 use urpsm::network::matrix::MatrixOracle;
 use urpsm::network::oracle::{CountingOracle, DijkstraOracle, DistanceOracle, HubLabelOracle};
 use urpsm::network::VertexId;
@@ -35,6 +37,39 @@ fn hub_labels_match_dijkstra_on_ring_city() {
             assert_eq!(hub.dis(u, v), dij.dis(u, v), "({u},{v})");
         }
     }
+}
+
+#[test]
+fn default_order_labels_are_exact_for_all_pairs() {
+    for g in [grid_city(12, 12, 400.0, 3), ring_radial_city(6, 12, 500.0)] {
+        let hl = HubLabels::build(&g);
+        let mut e = DijkstraEngine::for_network(&g);
+        for u in g.vertices() {
+            e.sssp(&g, u);
+            for v in g.vertices() {
+                assert_eq!(hl.distance(u, v), e.dist_to(v), "({u},{v})");
+            }
+        }
+    }
+}
+
+#[test]
+fn default_order_keeps_city_labels_small() {
+    // Size guards: a poor vertex order stays exact but bloats the index
+    // (a degree order gives 1 244 143 and 218 337 entries here), and the
+    // bloat shows up as set-up time and memory, not as a wrong answer.
+    let grid = HubLabels::build(&grid_city(48, 48, 200.0, 1));
+    assert!(
+        grid.num_entries() < 150_000,
+        "48×48 grid: {} label entries",
+        grid.num_entries()
+    );
+    let ring = HubLabels::build(&ring_radial_city(24, 48, 600.0));
+    assert!(
+        ring.num_entries() < 100_000,
+        "24-ring city: {} label entries",
+        ring.num_entries()
+    );
 }
 
 #[test]
