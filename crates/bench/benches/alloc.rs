@@ -317,7 +317,7 @@ mod gated {
             ));
         }
         // Embed the metrics snapshot (all zeros unless built with
-        // --features obs and the URPSM_OBS gate open).
+        // --features obs, which opens the gate in `main`).
         out.push_str(&format!(
             "  ],\n  \"metrics_snapshot\": {}\n}}\n",
             urpsm_bench::obs_snapshot_json()
@@ -327,6 +327,7 @@ mod gated {
     }
 
     pub fn main() {
+        urpsm_bench::open_obs_gate();
         // Criterion-compatible argument surface: swallow harness flags,
         // honor `--json <path>`.
         let mut json: Option<String> = None;

@@ -47,6 +47,7 @@ fn rush_hour_cell(fx: &CityFixture) -> Cell {
 }
 
 fn bench_congestion(c: &mut Criterion) {
+    urpsm_bench::open_obs_gate();
     let fx = CityFixture::build(City::ChengduLike, 1, 1);
     let mut cell = rush_hour_cell(&fx);
 
@@ -101,7 +102,7 @@ fn bench_congestion(c: &mut Criterion) {
 
 fn attach_metrics(c: &mut Criterion) {
     // Embed the metrics snapshot in the --json artifact (all zeros
-    // unless built with --features obs and the URPSM_OBS gate open).
+    // unless built with --features obs, which opens the gate above).
     c.raw_section("metrics_snapshot", urpsm_bench::obs_snapshot_json());
 }
 

@@ -36,6 +36,7 @@ fn request(id: u32, o: u32, d: u32) -> Request {
 }
 
 fn bench_decision(c: &mut Criterion) {
+    urpsm_bench::open_obs_gate();
     let oracle = line_oracle(512);
     let probe = request(9_999, 151, 282);
     let direct = oracle.dis(probe.origin, probe.destination);
@@ -73,7 +74,7 @@ fn bench_decision(c: &mut Criterion) {
 
 fn attach_metrics(c: &mut Criterion) {
     // Embed the metrics snapshot in the --json artifact (all zeros
-    // unless built with --features obs and the URPSM_OBS gate open).
+    // unless built with --features obs, which opens the gate above).
     c.raw_section("metrics_snapshot", urpsm_bench::obs_snapshot_json());
 }
 

@@ -14,6 +14,7 @@ use road_network::VertexId;
 use urpsm_workloads::network_gen::{grid_city, ring_radial_city};
 
 fn bench_oracles(c: &mut Criterion) {
+    urpsm_bench::open_obs_gate();
     let g = Arc::new(grid_city(40, 40, 400.0, 1));
     let n = g.num_vertices() as u32;
     let dij = DijkstraOracle::new(g.clone());
@@ -76,7 +77,7 @@ fn bench_oracles(c: &mut Criterion) {
 
 fn attach_metrics(c: &mut Criterion) {
     // Embed the metrics snapshot in the --json artifact (all zeros
-    // unless built with --features obs and the URPSM_OBS gate open).
+    // unless built with --features obs, which opens the gate above).
     c.raw_section("metrics_snapshot", urpsm_bench::obs_snapshot_json());
 }
 

@@ -11,8 +11,8 @@
 //! are set.
 //!
 //! The workload is the `metropolis` preset (1M requests / 100k workers
-//! over a 24h day) divided by `--scale` (default 100, or the
-//! `URPSM_INGEST_SCALE` env var; CI smokes at 100). The city never
+//! over a 24h day) divided by `--scale` (default 100; CI smokes at
+//! 100). The city never
 //! shrinks — only demand does — so per-event costs stay representative
 //! across scales.
 
@@ -201,7 +201,7 @@ fn write_json(path: &str, scale: usize, scenario: &Scenario, rows: &[Row]) {
         ));
     }
     // Embed the metrics snapshot (all zeros unless built with
-    // --features obs and the URPSM_OBS gate open).
+    // --features obs, which opens the gate in `main`).
     out.push_str(&format!(
         "  ],\n  \"metrics_snapshot\": {}\n}}\n",
         urpsm_bench::obs_snapshot_json()
@@ -211,13 +211,11 @@ fn write_json(path: &str, scale: usize, scenario: &Scenario, rows: &[Row]) {
 }
 
 fn main() {
+    urpsm_bench::open_obs_gate();
     // Criterion-compatible argument surface: swallow harness flags,
     // honor `--json <path>` and `--scale <div>`.
     let mut json: Option<String> = None;
-    let mut scale: usize = std::env::var("URPSM_INGEST_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100);
+    let mut scale: usize = 100;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {

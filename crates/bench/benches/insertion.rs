@@ -59,6 +59,7 @@ fn route_with_stops(n: usize, oracle: &MatrixOracle) -> Route {
 }
 
 fn bench_insertion(c: &mut Criterion) {
+    urpsm_bench::open_obs_gate();
     let oracle = line_oracle(512);
     let probe = request(9_999, 111, 222);
     let mut group = c.benchmark_group("insertion_operator");
@@ -82,7 +83,7 @@ fn bench_insertion(c: &mut Criterion) {
 
 fn attach_metrics(c: &mut Criterion) {
     // Embed the metrics snapshot in the --json artifact (all zeros
-    // unless built with --features obs and the URPSM_OBS gate open).
+    // unless built with --features obs, which opens the gate above).
     c.raw_section("metrics_snapshot", urpsm_bench::obs_snapshot_json());
 }
 

@@ -65,6 +65,7 @@ fn query_mix(n: u32, count: usize, seed: u64) -> Vec<(VertexId, VertexId, u64)> 
 }
 
 fn bench_oracle_td(c: &mut Criterion) {
+    urpsm_bench::open_obs_gate();
     // The Chengdu fixture's road network (requests/fleet are not
     // needed here — only the graph and its hub labels).
     let scenario = urpsm_workloads::scenario::chengdu_like(1)
@@ -214,7 +215,7 @@ fn bench_oracle_td(c: &mut Criterion) {
 
 fn attach_metrics(c: &mut Criterion) {
     // Embed the metrics snapshot in the --json artifact (all zeros
-    // unless built with --features obs and the URPSM_OBS gate open).
+    // unless built with --features obs, which opens the gate above).
     c.raw_section("metrics_snapshot", urpsm_bench::obs_snapshot_json());
 }
 

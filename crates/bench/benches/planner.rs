@@ -8,6 +8,7 @@ use urpsm_bench::harness::{run_cell, Algo};
 use urpsm_workloads::scenario::City;
 
 fn bench_planners(c: &mut Criterion) {
+    urpsm_bench::open_obs_gate();
     // Chengdu-like, heavily scaled so one simulation is milliseconds.
     let fx = CityFixture::build(City::ChengduLike, 25, 1);
     let cell = fx.default_cell();
@@ -26,7 +27,7 @@ fn bench_planners(c: &mut Criterion) {
 
 fn attach_metrics(c: &mut Criterion) {
     // Embed the metrics snapshot in the --json artifact (all zeros
-    // unless built with --features obs and the URPSM_OBS gate open).
+    // unless built with --features obs, which opens the gate above).
     c.raw_section("metrics_snapshot", urpsm_bench::obs_snapshot_json());
 }
 

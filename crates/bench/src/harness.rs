@@ -98,20 +98,16 @@ pub struct Cell {
     /// path; `K ≥ 1` runs the cell through a `ShardedService` with `K`
     /// shards under the default `Borrow` boundary policy.
     pub shards: usize,
-    /// Congestion profile for the cell (`None` = free flow; the cell
-    /// constructors leave this unset, so the `URPSM_CONGESTION`
-    /// environment default does *not* leak into benches — bench cells
-    /// opt in explicitly for comparability).
+    /// Congestion profile for the cell (`None` = free flow, which the
+    /// cell constructors leave; bench cells opt in explicitly).
     pub congestion: Option<Arc<road_network::congestion::CongestionProfile>>,
     /// Route committed legs through the time-dependent oracle
-    /// (`SimConfig::td_oracle` semantics). Like `congestion`, cell
-    /// constructors leave this `false` so the `URPSM_TD_ORACLE`
-    /// environment default does not leak into benches.
+    /// (`SimConfig::td_oracle` semantics; the cell constructors leave
+    /// it `false`).
     pub td_oracle: bool,
     /// Vehicle-class table of the cell's fleet (`SimConfig::classes`
-    /// semantics). Like `congestion`, cell constructors leave this
-    /// `None` so the `URPSM_FLEET` environment default does not leak
-    /// into benches — the `experiments fleet` table opts in.
+    /// semantics). The cell constructors leave this `None` — the
+    /// `experiments fleet` table opts in.
     pub classes: Option<Arc<urpsm_core::types::ClassTable>>,
 }
 
@@ -123,7 +119,9 @@ pub struct CellResult {
     pub served_rate: f64,
     /// Mean wall-clock per request.
     pub response_time: Duration,
-    /// Shortest-distance / path query counters (planner-issued).
+    /// Shortest-distance / path query counters over every query the
+    /// cell's oracle answered: the planner's and the simulator's
+    /// worker-motion queries alike.
     pub queries: QueryStats,
     /// Index memory (tshare: sorted-cell grid; others: plain grid).
     pub index_mem_bytes: usize,
@@ -140,23 +138,30 @@ pub struct CellResult {
 pub fn run_cell(cell: &Cell, algo: Algo) -> CellResult {
     let counting: Arc<CountingOracle<Arc<dyn DistanceOracle>>> =
         Arc::new(CountingOracle::new(cell.oracle.clone()));
+    let config = SimConfig {
+        grid_cell_m: cell.grid_cell_m,
+        alpha: cell.alpha,
+        drain: true,
+        threads: cell.threads,
+        congestion: cell.congestion.clone(),
+        td_oracle: cell.td_oracle,
+        classes: cell.classes.clone(),
+    };
     if cell.shards >= 1 {
-        return run_cell_sharded(cell, algo, counting);
+        // The cell's width drives the shard fan-out pool instead; the
+        // per-shard planners keep their own configuration.
+        let config = SimConfig {
+            threads: 0,
+            ..config
+        };
+        return run_cell_sharded(cell, algo, counting, config);
     }
     // Streams out of the workload generators are sorted by construction.
     let sim = Simulation::new_sorted_unchecked(
         counting.clone(),
         cell.workers.clone(),
         cell.requests.clone(),
-        SimConfig {
-            grid_cell_m: cell.grid_cell_m,
-            alpha: cell.alpha,
-            drain: true,
-            threads: cell.threads,
-            congestion: cell.congestion.clone(),
-            td_oracle: cell.td_oracle,
-            classes: cell.classes.clone(),
-        },
+        config,
     );
     let mut planner = algo.planner(cell.alpha, cell.grid_cell_m);
     let out: SimOutcome = sim.run(&mut planner);
@@ -186,6 +191,7 @@ fn run_cell_sharded(
     cell: &Cell,
     algo: Algo,
     counting: Arc<CountingOracle<Arc<dyn DistanceOracle>>>,
+    sim: SimConfig,
 ) -> CellResult {
     let start_time = cell.requests.first().map_or(0, |r| r.release);
     let mut service = ShardedService::new(
@@ -195,15 +201,7 @@ fn run_cell_sharded(
         ShardConfig {
             shards: cell.shards,
             threads: cell.threads.max(1),
-            sim: SimConfig {
-                grid_cell_m: cell.grid_cell_m,
-                alpha: cell.alpha,
-                drain: true,
-                threads: 0,
-                congestion: cell.congestion.clone(),
-                td_oracle: cell.td_oracle,
-                classes: cell.classes.clone(),
-            },
+            sim,
             ..ShardConfig::default()
         },
         start_time,

@@ -50,18 +50,6 @@ use urpsm_simulator::SimEvent;
 
 use crate::shard_map::ShardMap;
 
-/// Reads `URPSM_SHARDS` (≥ 1); unset, unparsable or `0` means 1 —
-/// the single-shard plane, byte-identical to `MobilityService`.
-/// Mirrors `urpsm_core::planner::threads_from_env` so a whole test
-/// suite or CI job can run geo-sharded without touching call sites.
-pub fn shards_from_env() -> usize {
-    std::env::var("URPSM_SHARDS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&k| k >= 1)
-        .unwrap_or(1)
-}
-
 /// Bump the per-shard submitted-event counter (labelled series are
 /// capped at [`urpsm_obs::MAX_SHARDS`]; higher shard ids fold into the
 /// last slot).
@@ -113,11 +101,11 @@ pub struct ShardConfig {
 }
 
 impl Default for ShardConfig {
-    /// `K` from the `URPSM_SHARDS` environment variable (default 1),
+    /// One shard (byte-identical to a plain `MobilityService`),
     /// default `Borrow` boundary, sequential fan-out.
     fn default() -> Self {
         ShardConfig {
-            shards: shards_from_env(),
+            shards: 1,
             boundary: BoundaryPolicy::default(),
             threads: 1,
             sim: SimConfig::default(),

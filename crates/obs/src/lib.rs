@@ -14,15 +14,13 @@
 //! - **Two gates.** Instrumented crates compile their call sites behind
 //!   their own `obs` cargo feature (off ⇒ zero code in the hot path);
 //!   with the feature on, every site routes through [`with`], which is a
-//!   single relaxed load + branch when the `URPSM_OBS` runtime gate is
-//!   off.
+//!   single relaxed load + branch when the runtime gate is off.
 //!
 //! # Runtime gate
 //!
-//! `URPSM_OBS=1` (any non-empty value other than `0`) enables recording;
-//! unset or `0` disables it. The environment is read once, on the first
-//! [`enabled`] call; binaries can override programmatically with
-//! [`set_enabled`] (e.g. `urpsm-serve --metrics-file` force-enables).
+//! The gate starts closed. [`set_enabled`] is the only switch: a
+//! binary or test that wants recording opens it explicitly (e.g.
+//! `urpsm-serve --metrics-file`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,36 +35,22 @@ pub use registry::{class_slot, registry, MetricsSnapshot, Registry, MAX_CLASSES,
 pub use ring::{FlightRecorder, TraceEvent, TraceKind};
 pub use text::{check_exposition, render_prometheus};
 
-use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::time::Instant;
 
-/// Tri-state runtime gate: 0 = not yet read from env, 1 = off, 2 = on.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
+/// The runtime gate; closed until [`set_enabled`] opens it.
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
-#[cold]
-fn init_enabled_from_env() -> bool {
-    let on = std::env::var("URPSM_OBS")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
-    ENABLED.store(if on { 2 } else { 1 }, Relaxed);
-    on
-}
-
-/// Is recording enabled? First call reads `URPSM_OBS`; later calls are a
-/// single relaxed load.
+/// Is recording enabled? A single relaxed load.
 #[inline]
 pub fn enabled() -> bool {
-    match ENABLED.load(Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_enabled_from_env(),
-    }
+    ENABLED.load(Relaxed)
 }
 
-/// Programmatically force the runtime gate on or off (wins over the
-/// environment; used by `urpsm-serve --metrics-file`).
+/// Open or close the runtime gate (e.g. `urpsm-serve --metrics-file`
+/// opens it).
 pub fn set_enabled(on: bool) {
-    ENABLED.store(if on { 2 } else { 1 }, Relaxed);
+    ENABLED.store(on, Relaxed);
 }
 
 /// Run `f` against the global registry iff recording is enabled. This is

@@ -6,7 +6,7 @@
 //! observability plane allocates (the ring's slot array). Every field is
 //! a plain atomic primitive from [`crate::metrics`]; instrumented crates
 //! reach them through [`crate::with`], which short-circuits to nothing
-//! when the `URPSM_OBS` runtime gate is off.
+//! when the runtime gate is off.
 
 use crate::metrics::{Counter, Gauge, HistSummary, Histogram, ShardedHistogram};
 use crate::ring::{FlightRecorder, DEFAULT_RING_CAPACITY};
@@ -152,10 +152,6 @@ pub struct Registry {
 
 impl Registry {
     fn new() -> Self {
-        let ring_cap = std::env::var("URPSM_OBS_RING")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_RING_CAPACITY);
         Registry {
             plan_requests: Counter::new(),
             plan_assigned: Counter::new(),
@@ -205,7 +201,7 @@ impl Registry {
             classes_live: Gauge::new(),
             class_served: std::array::from_fn(|_| Counter::new()),
             class_driven: std::array::from_fn(|_| Counter::new()),
-            ring: FlightRecorder::with_capacity(ring_cap),
+            ring: FlightRecorder::with_capacity(DEFAULT_RING_CAPACITY),
         }
     }
 

@@ -10,10 +10,10 @@
 //! payload and simply skip torn slots — the recorder never blocks a
 //! writer and a dump is always a consistent set of whole records.
 //!
-//! The ring is sized at construction (default 4096 records, overridable
-//! via `URPSM_OBS_RING`) and is the only allocation the enabled
-//! observability plane performs after startup — recording itself is five
-//! relaxed stores plus two release stores.
+//! The ring is sized at construction (the global registry's holds
+//! [`DEFAULT_RING_CAPACITY`] records) and is the only allocation the
+//! enabled observability plane performs after startup — recording
+//! itself is five relaxed stores plus two release stores.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -120,7 +120,7 @@ impl Slot {
     }
 }
 
-/// Default ring capacity (records) when `URPSM_OBS_RING` is unset.
+/// Capacity (records) of the global registry's ring.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
 /// The lock-free trace ring. See module docs for the protocol.

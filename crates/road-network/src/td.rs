@@ -447,9 +447,9 @@ impl TimeDependentOracle for TdDijkstra {
             return 0;
         }
         // Flat profile ⇒ stretched costs equal static costs exactly, so
-        // the hub labels already hold the answer. This keeps flat CI
-        // runs (URPSM_TD_ORACLE=1 with env canaries) near-free while
-        // remaining bit-identical to the search it replaces.
+        // the hub labels already hold the answer. This keeps TD runs on
+        // a flat profile near-free while remaining bit-identical to the
+        // search it replaces.
         if self.profile.is_flat() {
             if let Some(labels) = &self.labels {
                 return labels.distance(u, v);
@@ -852,17 +852,6 @@ impl TravelTimeProvider for TdTravelTimeProvider {
     }
 }
 
-/// Reads the `URPSM_TD_ORACLE` environment variable, mirroring
-/// `URPSM_THREADS` / `URPSM_SHARDS` / `URPSM_CONGESTION`: `1`, `true`
-/// or `on` route committed legs through the time-dependent oracle
-/// (`SimConfig::td_oracle`); anything else keeps the PR-5 overlay.
-pub fn td_oracle_from_env() -> bool {
-    matches!(
-        std::env::var("URPSM_TD_ORACLE").as_deref().map(str::trim),
-        Ok("1") | Ok("true") | Ok("on")
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1190,21 +1179,6 @@ mod tests {
             panic!("flat provider must not emit")
         });
         assert!(!expanded, "flat falls back to static expansion");
-    }
-
-    #[test]
-    fn env_flag_parses() {
-        // Sequential writes only (tests in this module don't race on
-        // this variable).
-        std::env::remove_var("URPSM_TD_ORACLE");
-        assert!(!td_oracle_from_env());
-        std::env::set_var("URPSM_TD_ORACLE", "1");
-        assert!(td_oracle_from_env());
-        std::env::set_var("URPSM_TD_ORACLE", "on");
-        assert!(td_oracle_from_env());
-        std::env::set_var("URPSM_TD_ORACLE", "0");
-        assert!(!td_oracle_from_env());
-        std::env::remove_var("URPSM_TD_ORACLE");
     }
 
     mod props {

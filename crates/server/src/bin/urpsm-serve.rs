@@ -69,7 +69,7 @@ fn parse_args() -> Args {
         queue_limit: usize::MAX,
         wal: None,
         recover: false,
-        td_oracle: road_network::td::td_oracle_from_env(),
+        td_oracle: false,
         metrics_file: None,
     };
     let mut it = std::env::args().skip(1);

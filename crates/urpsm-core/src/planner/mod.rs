@@ -64,27 +64,14 @@ pub struct PlannerConfig {
 }
 
 impl Default for PlannerConfig {
-    /// `α = 1`, lax economics, and the thread count from the
-    /// `URPSM_THREADS` environment variable (default 1). The env knob
-    /// exists so an entire test suite or benchmark run can exercise
-    /// the parallel engine without touching every construction site
-    /// (CI runs the suite at `URPSM_THREADS=1` and `=4`).
+    /// `α = 1`, lax economics, the sequential engine (`threads: 1`).
     fn default() -> Self {
         PlannerConfig {
             alpha: 1,
             strict_economics: false,
-            threads: threads_from_env(),
+            threads: 1,
         }
     }
-}
-
-/// Reads `URPSM_THREADS` (≥ 1, or `0` for one-per-core); unset or
-/// unparsable means 1 — the sequential engine.
-pub fn threads_from_env() -> usize {
-    std::env::var("URPSM_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .unwrap_or(1)
 }
 
 /// An online route planner for shared mobility.

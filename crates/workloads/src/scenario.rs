@@ -14,7 +14,7 @@ use urpsm_core::types::{
     ClassConstraint, ClassId, ClassTable, Request, RequestId, Time, Worker, WorkerId,
 };
 
-use crate::fleet::{fleet_mix_from_env, FleetMix};
+use crate::fleet::FleetMix;
 use crate::network_gen::{grid_city, ring_radial_city};
 use crate::requests::{RequestStreamConfig, RequestStreamGenerator};
 use crate::MINUTE_CS;
@@ -62,9 +62,8 @@ pub struct Scenario {
     pub alpha: u64,
     /// Supply-side congestion profile for the platform
     /// ([`ScenarioBuilder::congestion`]); `None` = free flow. The
-    /// facade falls back to the `URPSM_CONGESTION` environment default
-    /// when unset, mirroring the demand-side `rush_hour_skew` knob's
-    /// supply-side counterpart.
+    /// supply-side counterpart of the demand-side `rush_hour_skew`
+    /// knob.
     pub congestion: Option<Arc<CongestionProfile>>,
     /// Vehicle-class table of a heterogeneous fleet
     /// ([`ScenarioBuilder::fleet_mix`]); `None` = the homogeneous
@@ -148,7 +147,7 @@ pub struct ScenarioBuilder {
     arrivals: usize,
     departure_policy: ReassignPolicy,
     congestion: Option<Arc<CongestionProfile>>,
-    fleet: Option<FleetMix>,
+    fleet: FleetMix,
     transfer_fraction: f64,
 }
 
@@ -182,7 +181,7 @@ impl ScenarioBuilder {
             arrivals: 0,
             departure_policy: ReassignPolicy::Reassign,
             congestion: None,
-            fleet: None,
+            fleet: FleetMix::single(),
             transfer_fraction: 0.0,
         }
     }
@@ -347,11 +346,9 @@ impl ScenarioBuilder {
     /// the mix's fractions and re-draw their capacities around the
     /// class's nominal capacity, all from an independent RNG stream —
     /// the base fleet-origin and request draws stay byte-identical.
-    /// Explicitly passing [`FleetMix::single`] forces the homogeneous
-    /// fleet even under `URPSM_FLEET=mixed`; leaving the knob unset
-    /// reads the environment default.
+    /// Unset, the fleet is [`FleetMix::single`].
     pub fn fleet_mix(mut self, mix: FleetMix) -> Self {
-        self.fleet = Some(mix);
+        self.fleet = mix;
         self
     }
 
@@ -369,28 +366,27 @@ impl ScenarioBuilder {
     /// the same construction-time contract as
     /// [`crate::requests::WeightedCdf`]: fail loudly where the knob
     /// was set, not deep inside generation with an opaque overflow.
-    fn validate(&self, mix: Option<&FleetMix>) {
-        if let Some(mix) = mix {
-            let sum: f64 = mix.entries().iter().map(|(_, f)| f).sum();
+    fn validate(&self) {
+        let mix = &self.fleet;
+        let sum: f64 = mix.entries().iter().map(|(_, f)| f).sum();
+        assert!(
+            (sum - 1.0).abs() <= 1e-6,
+            "fleet-mix fractions must sum to 1 (got {sum})"
+        );
+        for (class, f) in mix.entries() {
             assert!(
-                (sum - 1.0).abs() <= 1e-6,
-                "fleet-mix fractions must sum to 1 (got {sum})"
+                class.capacity >= 1,
+                "fleet-mix class {:?} has zero capacity",
+                class.name
             );
-            for (class, f) in mix.entries() {
-                assert!(
-                    class.capacity >= 1,
-                    "fleet-mix class {:?} has zero capacity",
-                    class.name
-                );
-                assert!(
-                    (0.0..=1.0).contains(f) && f.is_finite(),
-                    "fleet-mix fraction for {:?} must be in [0, 1] (got {f})",
-                    class.name
-                );
-            }
+            assert!(
+                (0.0..=1.0).contains(f) && f.is_finite(),
+                "fleet-mix fraction for {:?} must be in [0, 1] (got {f})",
+                class.name
+            );
         }
         assert!(
-            self.transfer_fraction == 0.0 || mix.is_some_and(|m| m.entries().len() >= 2),
+            self.transfer_fraction == 0.0 || mix.entries().len() >= 2,
             "mode-transfer legs need a fleet mix with at least two classes"
         );
         match self.spec {
@@ -440,10 +436,8 @@ impl ScenarioBuilder {
     /// cell, ids overflowing `u32`) — each with a message naming the
     /// offending knob.
     pub fn build(self) -> Scenario {
-        // Explicit knob wins; otherwise the `URPSM_FLEET` environment
-        // default (mirroring the congestion/threads/shards knobs).
-        let mix = self.fleet.clone().or_else(fleet_mix_from_env);
-        self.validate(mix.as_ref());
+        self.validate();
+        let mix = self.fleet;
         let network: Arc<RoadNetwork> = match self.spec {
             NetworkSpec::Grid { nx, ny, block_m } => {
                 Arc::new(grid_city(nx, ny, block_m, self.seed))
@@ -503,9 +497,9 @@ impl ScenarioBuilder {
         // destination, second-to-last class only), sharing the trip's
         // time budget. Independent RNG stream, so a zero fraction is
         // byte-identical to no knob at all.
-        let heterogeneous = mix.as_ref().is_some_and(|m| !m.is_single_standard());
+        let heterogeneous = !mix.is_single_standard();
         if self.transfer_fraction > 0.0 {
-            let n_classes = mix.as_ref().map_or(1, |m| m.entries().len());
+            let n_classes = mix.entries().len();
             let feeder = ClassConstraint::Only(ClassId((n_classes - 1) as u16));
             let trunk = ClassConstraint::Only(ClassId((n_classes - 2) as u16));
             let hub = central_hub(&network);
@@ -589,7 +583,6 @@ impl ScenarioBuilder {
         // perturbs the origin/capacity/lifecycle draws above.
         let mut classes = None;
         if heterogeneous {
-            let mix = mix.as_ref().expect("heterogeneous implies a mix");
             let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(0xc1a5));
             let assign = |w: &mut Worker, rng: &mut StdRng| {
                 w.class = mix.sample(rng.gen::<f64>());
@@ -756,15 +749,12 @@ mod tests {
 
     #[test]
     fn capacities_center_on_mu() {
-        // Pin the homogeneous fleet: under `URPSM_FLEET=mixed` the
-        // capacities would recenter on the class means instead of μ.
         let s = ScenarioBuilder::named("t")
             .grid_city(5, 5)
             .workers(500)
             .capacity(6)
             .requests(1)
             .seed(1)
-            .fleet_mix(FleetMix::single())
             .build();
         let avg: f64 =
             s.workers.iter().map(|w| f64::from(w.capacity)).sum::<f64>() / s.workers.len() as f64;
@@ -948,9 +938,7 @@ mod tests {
                 .requests(40)
                 .seed(13)
         };
-        // An explicit mix overrides `URPSM_FLEET`, so both sides are
-        // pinned and the comparison holds under every CI env job.
-        let plain = base().fleet_mix(FleetMix::single()).build();
+        let plain = base().build();
         let mixed = base().fleet_mix(FleetMix::mixed()).build();
         // The mix must not perturb demand or the fleet's placement;
         // classes/capacities are redrawn from their own stream.

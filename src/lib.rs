@@ -40,9 +40,9 @@
 //!   histograms), a lock-free span flight recorder, and a
 //!   Prometheus-text exposition with its own format checker.
 //!   Instrumentation call sites are compiled into the other layers
-//!   only under the `obs` cargo feature and activated at runtime via
-//!   `URPSM_OBS=1` (or [`obs::set_enabled`]); `urpsm-serve
-//!   --metrics-file` dumps the exposition every tick.
+//!   only under the `obs` cargo feature and activated at runtime by
+//!   [`obs::set_enabled`]; `urpsm-serve --metrics-file` opens the
+//!   gate and dumps the exposition every tick.
 //!
 //! ## The streaming API
 //!
@@ -107,6 +107,7 @@ pub use urpsm_simulator as simulator;
 pub use urpsm_workloads as workloads;
 
 use urpsm_core::planner::Planner;
+use urpsm_core::types::Time;
 use urpsm_dispatch::service::{ShardConfig, ShardedService};
 use urpsm_simulator::engine::{SimConfig, SimOutcome, Simulation};
 use urpsm_simulator::service::MobilityService;
@@ -117,95 +118,36 @@ use urpsm_workloads::scenario::Scenario;
 /// [`Scenario::event_stream`] (or any other event feed). The service
 /// clock starts at the first event's time.
 pub fn service<'p>(scenario: &Scenario, planner: Box<dyn Planner + 'p>) -> MobilityService<'p> {
-    // Each source is sorted by construction, so the stream's first
-    // timestamp is the min of the three heads — no need to materialize
-    // and sort the merged stream here.
-    let start_time = [
-        scenario.requests.first().map(|r| r.release),
-        scenario.cancellations.first().map(|&(t, _)| t),
-        scenario
-            .fleet_events
-            .first()
-            .map(urpsm_core::event::PlatformEvent::time),
-    ]
-    .into_iter()
-    .flatten()
-    .min()
-    .unwrap_or(0);
     MobilityService::new(
         scenario.oracle.clone(),
         scenario.workers.clone(),
         planner,
-        SimConfig {
-            grid_cell_m: scenario.grid_cell_m,
-            alpha: scenario.alpha,
-            drain: true,
-            threads: 0,
-            congestion: scenario_congestion(scenario),
-            td_oracle: road_network::td::td_oracle_from_env(),
-            classes: scenario.classes.clone(),
-        },
-        start_time,
+        sim_config(scenario),
+        start_time(scenario),
     )
 }
 
-/// The scenario's congestion profile, falling back to the
-/// `URPSM_CONGESTION` environment default (mirroring how
-/// `URPSM_THREADS` / `URPSM_SHARDS` reach scenario-driven runs).
-fn scenario_congestion(
-    scenario: &Scenario,
-) -> Option<std::sync::Arc<road_network::congestion::CongestionProfile>> {
-    scenario
-        .congestion
-        .clone()
-        .or_else(road_network::congestion::congestion_from_env)
-}
-
 /// Opens a geo-sharded [`ShardedService`] over a [`Scenario`]: the city
-/// is partitioned into `shards` territories (`0` = the `URPSM_SHARDS`
-/// environment default, which itself defaults to 1), each owning its
-/// own platform and a planner built by `planners(shard_id)`, with the
-/// default `Borrow` boundary policy handing idle border workers across
-/// seams. At one shard this is byte-identical to [`service`]'s plain
-/// `MobilityService` (pinned by `tests/shard_equivalence.rs`).
+/// is partitioned into `shards` territories (`0` is clamped to 1), each
+/// owning its own platform and a planner built by `planners(shard_id)`,
+/// with the default `Borrow` boundary policy handing idle border
+/// workers across seams. At one shard this is byte-identical to
+/// [`service`]'s plain `MobilityService` (pinned by
+/// `tests/shard_equivalence.rs`).
 pub fn sharded<'p, F>(scenario: &Scenario, shards: usize, planners: F) -> ShardedService<'p>
 where
     F: FnMut(usize) -> Box<dyn Planner + 'p>,
 {
-    let start_time = [
-        scenario.requests.first().map(|r| r.release),
-        scenario.cancellations.first().map(|&(t, _)| t),
-        scenario
-            .fleet_events
-            .first()
-            .map(urpsm_core::event::PlatformEvent::time),
-    ]
-    .into_iter()
-    .flatten()
-    .min()
-    .unwrap_or(0);
     ShardedService::new(
         scenario.oracle.clone(),
         scenario.workers.clone(),
         planners,
         ShardConfig {
-            shards: if shards == 0 {
-                urpsm_dispatch::service::shards_from_env()
-            } else {
-                shards
-            },
-            sim: SimConfig {
-                grid_cell_m: scenario.grid_cell_m,
-                alpha: scenario.alpha,
-                drain: true,
-                threads: 0,
-                congestion: scenario_congestion(scenario),
-                td_oracle: road_network::td::td_oracle_from_env(),
-                classes: scenario.classes.clone(),
-            },
+            shards,
+            sim: sim_config(scenario),
             ..ShardConfig::default()
         },
-        start_time,
+        start_time(scenario),
     )
 }
 
@@ -219,18 +161,41 @@ pub fn simulate(scenario: &Scenario, planner: &mut dyn Planner) -> SimOutcome {
         scenario.oracle.clone(),
         scenario.workers.clone(),
         scenario.requests.clone(),
-        SimConfig {
-            grid_cell_m: scenario.grid_cell_m,
-            alpha: scenario.alpha,
-            drain: true,
-            threads: 0,
-            congestion: scenario_congestion(scenario),
-            td_oracle: road_network::td::td_oracle_from_env(),
-            classes: scenario.classes.clone(),
-        },
+        sim_config(scenario),
     )
     .expect("scenario request streams are sorted by construction")
     .run(planner)
+}
+
+/// The platform parameters a [`Scenario`] carries: grid cell, `α`,
+/// congestion profile and class table; drained, free-flow overlay
+/// (no TD oracle), planner width left as configured.
+fn sim_config(scenario: &Scenario) -> SimConfig {
+    SimConfig {
+        grid_cell_m: scenario.grid_cell_m,
+        alpha: scenario.alpha,
+        congestion: scenario.congestion.clone(),
+        classes: scenario.classes.clone(),
+        ..SimConfig::default()
+    }
+}
+
+/// The time of a [`Scenario`]'s first event. Each source is sorted by
+/// construction, so this is the min of the three heads — no need to
+/// materialize and sort the merged stream.
+fn start_time(scenario: &Scenario) -> Time {
+    [
+        scenario.requests.first().map(|r| r.release),
+        scenario.cancellations.first().map(|&(t, _)| t),
+        scenario
+            .fleet_events
+            .first()
+            .map(urpsm_core::event::PlatformEvent::time),
+    ]
+    .into_iter()
+    .flatten()
+    .min()
+    .unwrap_or(0)
 }
 
 /// Commonly used items, for glob import in examples and tests.

@@ -11,10 +11,6 @@
 //! * **Metadata-only mixes** — a multi-class table whose classes all
 //!   have the standard profile (unit speed, no range) changes requests,
 //!   schedules and costs not at all.
-//!
-//! Every run here pins its own `SimConfig` and fleet mix explicitly, so
-//! the pins hold under all CI environment jobs (`URPSM_THREADS`,
-//! `URPSM_CONGESTION`, `URPSM_TD_ORACLE`, `URPSM_FLEET`).
 
 use std::sync::Arc;
 
@@ -25,19 +21,15 @@ use urpsm::network::prelude::Point;
 use urpsm::prelude::*;
 
 fn golden_scenario() -> Scenario {
-    // `FleetMix::single()` pins the homogeneous fleet even when the
-    // suite runs under `URPSM_FLEET=mixed`.
     ScenarioBuilder::named("golden")
         .grid_city(8, 8)
         .workers(6)
         .requests(60)
         .seed(42)
-        .fleet_mix(FleetMix::single())
         .build()
 }
 
-/// Runs the golden scenario under a fully pinned configuration — no
-/// environment knob can reach this run.
+/// Runs the golden scenario with every `SimConfig` field set.
 fn run_pinned(sc: &Scenario, planner: Box<dyn Planner + '_>) -> SimOutcome {
     let start_time = sc.requests.first().map(|r| r.release).unwrap_or(0);
     let mut service = MobilityService::new(

@@ -3,20 +3,29 @@
 //!
 //! * the **flat** profile (every multiplier exactly 1.0) is the
 //!   identity — event logs and costs equal the no-profile run at every
-//!   planner width (`URPSM_THREADS`-style 1/4) and shard count (1/4);
+//!   planner width (1/4) and shard count (1/4);
 //! * a **peak** profile strictly increases planned arrival times on a
 //!   pinned trace while leaving the free-flow economics (Δ*, planned
 //!   distance) untouched;
 //! * cancellations in congested runs keep the economics exact:
 //!   `driven == Σ planned` per worker, plus the audit's replayed
 //!   ledger `planned == Σ deltas − Σ freed`.
+//!
+//! Every service-level gate runs twice: with committed legs on the
+//! profile overlay and routed through the time-dependent oracle
+//! (`SimConfig::td_oracle`).
 
 use std::sync::Arc;
 
 use urpsm::prelude::*;
 use urpsm_core::event::PlatformEvent;
 
-fn run(sc: &Scenario, threads: usize, congestion: Option<Arc<CongestionProfile>>) -> SimOutcome {
+fn run(
+    sc: &Scenario,
+    threads: usize,
+    congestion: Option<Arc<CongestionProfile>>,
+    td_oracle: bool,
+) -> SimOutcome {
     let cfg = PlannerConfig {
         alpha: sc.alpha,
         strict_economics: false,
@@ -35,11 +44,8 @@ fn run(sc: &Scenario, threads: usize, congestion: Option<Arc<CongestionProfile>>
             drain: true,
             threads: 0,
             congestion,
+            td_oracle,
             classes: sc.classes.clone(),
-            // Env default on purpose: the CI td-oracle job runs this
-            // whole suite with URPSM_TD_ORACLE=1, so every identity
-            // gate here also pins the TD provider.
-            ..SimConfig::default()
         },
         start,
     );
@@ -53,6 +59,7 @@ fn run_sharded(
     sc: &Scenario,
     shards: usize,
     congestion: Option<Arc<CongestionProfile>>,
+    td_oracle: bool,
 ) -> ShardedOutcome {
     let stream = sc.event_stream();
     let start = stream.first().map_or(0, PlatformEvent::time);
@@ -69,8 +76,8 @@ fn run_sharded(
                 drain: true,
                 threads: 0,
                 congestion,
+                td_oracle,
                 classes: sc.classes.clone(),
-                ..SimConfig::default()
             },
             ..ShardConfig::default()
         },
@@ -106,28 +113,28 @@ fn flat() -> Option<Arc<CongestionProfile>> {
 fn flat_profile_is_byte_identical_across_threads() {
     for seed in [3u64, 2018] {
         let sc = churny_scenario(seed);
-        let base = run(&sc, 1, None);
+        let base = run(&sc, 1, None, false);
         assert!(base.audit_errors.is_empty(), "seed {seed}");
         assert!(
             base.metrics.cancelled > 0,
             "seed {seed}: scenario must exercise the cancel path"
         );
-        for threads in [1usize, 4] {
-            for (label, congestion) in [("none", None), ("flat", flat())] {
-                let other = run(&sc, threads, congestion);
-                assert_eq!(
-                    base.events, other.events,
-                    "seed {seed} threads {threads} profile {label}: event log"
-                );
-                assert_eq!(
-                    base.metrics.unified_cost, other.metrics.unified_cost,
-                    "seed {seed} threads {threads} profile {label}: unified cost"
-                );
-                assert_eq!(
-                    base.metrics.driven_distance, other.metrics.driven_distance,
-                    "seed {seed} threads {threads} profile {label}: driven"
-                );
-                assert!(other.audit_errors.is_empty());
+        for td in [false, true] {
+            for threads in [1usize, 4] {
+                for (label, congestion) in [("none", None), ("flat", flat())] {
+                    let other = run(&sc, threads, congestion, td);
+                    let cell = format!("seed {seed} td {td} threads {threads} profile {label}");
+                    assert_eq!(base.events, other.events, "{cell}: event log");
+                    assert_eq!(
+                        base.metrics.unified_cost, other.metrics.unified_cost,
+                        "{cell}: unified cost"
+                    );
+                    assert_eq!(
+                        base.metrics.driven_distance, other.metrics.driven_distance,
+                        "{cell}: driven"
+                    );
+                    assert!(other.audit_errors.is_empty(), "{cell}");
+                }
             }
         }
     }
@@ -136,22 +143,24 @@ fn flat_profile_is_byte_identical_across_threads() {
 #[test]
 fn flat_profile_is_byte_identical_across_shards() {
     let sc = churny_scenario(2018);
-    let base = run(&sc, 1, None);
+    let base = run(&sc, 1, None, false);
     assert!(base.audit_errors.is_empty());
-    for shards in [1usize, 4] {
-        let none = run_sharded(&sc, shards, None);
-        let flat_run = run_sharded(&sc, shards, flat());
-        assert!(none.audit_errors.is_empty(), "shards {shards}");
-        assert!(flat_run.audit_errors.is_empty(), "shards {shards}");
-        assert_eq!(
-            none.events, flat_run.events,
-            "shards {shards}: flat profile changed the sharded log"
-        );
-        assert_eq!(none.metrics.unified_cost, flat_run.metrics.unified_cost);
-        if shards == 1 {
-            // One shard is byte-identical to the plain service — with
-            // and without the (identity) profile.
-            assert_eq!(base.events, flat_run.events);
+    for td in [false, true] {
+        for shards in [1usize, 4] {
+            let none = run_sharded(&sc, shards, None, td);
+            let flat_run = run_sharded(&sc, shards, flat(), td);
+            assert!(none.audit_errors.is_empty(), "td {td} shards {shards}");
+            assert!(flat_run.audit_errors.is_empty(), "td {td} shards {shards}");
+            assert_eq!(
+                none.events, flat_run.events,
+                "td {td} shards {shards}: flat profile changed the sharded log"
+            );
+            assert_eq!(none.metrics.unified_cost, flat_run.metrics.unified_cost);
+            if shards == 1 {
+                // One shard is byte-identical to the plain service —
+                // with and without the (identity) profile.
+                assert_eq!(base.events, flat_run.events, "td {td}");
+            }
         }
     }
 }
@@ -270,24 +279,30 @@ fn congested_cancellations_keep_economics_exact() {
         CongestionProfile::constant("x1.4", 1.4).expect("valid profile"),
     ));
 
-    let out = run(&sc, 1, jam.clone());
-    assert_eq!(out.audit_errors, Vec::<String>::new());
-    assert!(out.metrics.cancelled > 0, "cancel path must run congested");
-    assert_eq!(
-        out.metrics.driven_distance,
-        out.state.total_assigned_distance(),
-        "driven == Σ planned must survive congested cancellations"
-    );
+    for td in [false, true] {
+        let out = run(&sc, 1, jam.clone(), td);
+        assert_eq!(out.audit_errors, Vec::<String>::new(), "td {td}");
+        assert!(out.metrics.cancelled > 0, "cancel path must run congested");
+        assert_eq!(
+            out.metrics.driven_distance,
+            out.state.total_assigned_distance(),
+            "td {td}: driven == Σ planned must survive congested cancellations"
+        );
 
-    // Multi-threaded planning under congestion stays deterministic.
-    let par = run(&sc, 4, jam.clone());
-    assert_eq!(out.events, par.events, "threads changed a congested log");
+        // Multi-threaded planning under congestion stays deterministic.
+        let par = run(&sc, 4, jam.clone(), td);
+        assert_eq!(
+            out.events, par.events,
+            "td {td}: threads changed a congested log"
+        );
 
-    // And the geo-sharded plane keeps every shard's ledger exact.
-    let sharded = run_sharded(&sc, 4, jam);
-    assert_eq!(sharded.audit_errors, Vec::<String>::new());
-    assert_eq!(
-        sharded.metrics.driven_distance,
-        sharded.total_assigned_distance()
-    );
+        // And the geo-sharded plane keeps every shard's ledger exact.
+        let sharded = run_sharded(&sc, 4, jam.clone(), td);
+        assert_eq!(sharded.audit_errors, Vec::<String>::new(), "td {td}");
+        assert_eq!(
+            sharded.metrics.driven_distance,
+            sharded.total_assigned_distance(),
+            "td {td}"
+        );
+    }
 }
