@@ -8,12 +8,10 @@
 //! by draining stops *between* (never inside) measured regions.
 //!
 //! The gate: a steady-state planned insertion under `GreedyDP` and
-//! `pruneGreedyDP` at `threads = 1` performs **zero** allocations —
-//! free flow *and* under the chengdu-2peak congestion profile (whose
+//! `pruneGreedyDP` performs **zero** allocations — free flow *and*
+//! under the chengdu-2peak congestion profile (whose
 //! stretched-feasibility re-check runs on the scratch probe route).
-//! The three baselines and the fused-parallel engine are measured and
-//! reported but not gated; the parallel numbers include the scoped
-//! fan-out's spawn cost by design.
+//! The three baselines are measured and reported but not gated.
 //!
 //! Without the feature the bench compiles to a no-op so a plain
 //! `cargo bench` never fails; CI runs the gated configuration
@@ -62,11 +60,10 @@ mod gated {
     /// bench and `tests/congestion_equivalence.rs`.
     const RUSH_SHIFT: Time = 7 * HOUR_CS + HOUR_CS / 2;
 
-    /// One (planner, profile, thread-width) row of the report.
+    /// One (planner, profile) row of the report.
     pub struct Row {
         pub planner: &'static str,
         pub profile: &'static str,
-        pub threads: usize,
         pub requests: usize,
         pub served: usize,
         pub total_allocs: u64,
@@ -139,7 +136,7 @@ mod gated {
         }
     }
 
-    fn run(algo: Algo, profile: &'static str, threads: usize) -> Row {
+    fn run(algo: Algo, profile: &'static str) -> Row {
         let oracle = line_oracle();
         let workers = fleet();
         let shift = if profile == "free-flow" {
@@ -153,9 +150,6 @@ mod gated {
         }
         state.reserve_request_capacity(WARMUP + MEASURED);
         let mut planner = algo.planner(1, 2_000.0);
-        if threads > 1 {
-            planner.set_threads(threads);
-        }
 
         // Warmup: grow every scratch arena, thread-local grid buffer,
         // hash-map table and shortlist column to its steady-state size.
@@ -188,11 +182,10 @@ mod gated {
             drain_routes(&mut state);
         }
 
-        let gated = threads == 1 && matches!(algo, Algo::GreedyDp | Algo::PruneGreedyDp);
+        let gated = matches!(algo, Algo::GreedyDp | Algo::PruneGreedyDp);
         Row {
             planner: algo.name(),
             profile,
-            threads,
             requests: MEASURED,
             served,
             total_allocs: total,
@@ -265,7 +258,6 @@ mod gated {
         rows.push(Row {
             planner: "td-astar (search)",
             profile: "chengdu-2peak",
-            threads: 1,
             requests: queries.len(),
             served,
             total_allocs: total,
@@ -283,7 +275,6 @@ mod gated {
         rows.push(Row {
             planner: "td-cache (hit)",
             profile: "chengdu-2peak",
-            threads: 1,
             requests: queries.len(),
             served,
             total_allocs: total,
@@ -302,12 +293,11 @@ mod gated {
         );
         for (i, row) in rows.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"planner\": \"{}\", \"profile\": \"{}\", \"threads\": {}, \
+                "    {{\"planner\": \"{}\", \"profile\": \"{}\", \
                  \"requests\": {}, \"served\": {}, \"allocs_per_request\": {:.4}, \
                  \"max_allocs\": {}, \"gated\": {}}}{}\n",
                 row.planner,
                 row.profile,
-                row.threads,
                 row.requests,
                 row.served,
                 row.allocs_per_request(),
@@ -345,19 +335,16 @@ mod gated {
         let mut rows = Vec::new();
         for profile in ["free-flow", "chengdu-2peak"] {
             for algo in Algo::ALL {
-                rows.push(run(algo, profile, 1));
+                rows.push(run(algo, profile));
             }
-            // The fused-parallel engine, reported for scale: its scoped
-            // spawn set allocates per request by design.
-            rows.push(run(Algo::PruneGreedyDp, profile, 4));
         }
         // Steady-state TD distance queries (PR 8): gated at zero, like
         // the planners above.
         rows.extend(td_rows());
 
         eprintln!(
-            "{:<14} {:<14} {:>7} {:>8} {:>14} {:>11} {:>6}",
-            "planner", "profile", "threads", "served", "allocs/request", "max/request", "gate"
+            "{:<14} {:<14} {:>8} {:>14} {:>11} {:>6}",
+            "planner", "profile", "served", "allocs/request", "max/request", "gate"
         );
         let mut failures = Vec::new();
         for row in &rows {
@@ -369,10 +356,9 @@ mod gated {
                 "FAIL"
             };
             eprintln!(
-                "{:<14} {:<14} {:>7} {:>8} {:>14.4} {:>11} {:>6}",
+                "{:<14} {:<14} {:>8} {:>14.4} {:>11} {:>6}",
                 row.planner,
                 row.profile,
-                row.threads,
                 format!("{}/{}", row.served, row.requests),
                 row.allocs_per_request(),
                 row.max_allocs,

@@ -2,9 +2,8 @@
 //! iteration = one full simulation of the *unscaled* Chengdu-like
 //! stream under `pruneGreedyDP`, swept over the shard count K.
 //!
-//! Unlike the `parallel` bench (whose determinism gate demands
-//! byte-identical outcomes at every width), sharding legitimately
-//! trades quality for locality at K > 1 — so the gate here is split:
+//! Sharding legitimately trades quality for locality at K > 1, so the
+//! determinism gate here is split:
 //! K = 1 must reproduce the direct single-service run *exactly*, and
 //! every K must be audit-clean with its quality delta printed, not
 //! hidden. The wall-clock column is the scaling story: each shard
@@ -23,9 +22,8 @@ const SHARDS: [usize; 4] = [1, 2, 4, 8];
 
 fn scaled_cell(fx: &CityFixture) -> Cell {
     let s = &fx.sweep;
-    // Largest fleet, 25-minute deadlines: the same wide-shortlist
-    // full-scale stream as the `parallel` bench, so the two tables
-    // compare one hot path under two orthogonal scaling axes.
+    // Largest fleet, 25-minute deadlines: wide per-request shortlists
+    // on the full-scale stream, which is what sharding shrinks.
     fx.cell(
         *s.workers.values.last().expect("non-empty axis"),
         s.capacity.default_value(),

@@ -15,18 +15,11 @@
 //! (divides Table 5's stream/fleet sizes further; default 4),
 //! `--seed S`, `--parallel` (run sweep cells concurrently, capped at
 //! the hardware thread count — distorts response-time panels, fine for
-//! shape checks), `--threads N` (per-request planning fan-out inside
-//! the DP planners, applied to the figure sweeps and the ablation:
-//! decisions, costs and event logs are identical at any width, but
-//! `dis()` query *counts* are not — scheduling changes the probe set
-//! in either direction
-//! — so the §6.2 `queries` experiment always pins threads = 1, and the
-//! single-request `hardness` runs never fan out), `--shards K` (run
-//! the figure sweeps through the geo-sharded dispatch plane with `K`
-//! shards and `Borrow` seams — unlike `--threads`, sharding is allowed
-//! to change quality, and the sweep quantifies by how much; the
-//! `queries` experiment ignores it for the same reason it pins
-//! threads = 1).
+//! shape checks), `--shards K` (run the figure sweeps through the
+//! geo-sharded dispatch plane with `K` shards and `Borrow` seams —
+//! sharding is allowed to change quality, and the sweep quantifies by
+//! how much; the §6.2 `queries` experiment ignores it, since the
+//! paper's query counts are for one dispatcher over the whole fleet).
 
 use std::io::Write;
 use std::sync::Arc;
@@ -47,9 +40,6 @@ struct Opts {
     seed: u64,
     parallel: bool,
     repeats: u64,
-    /// Planner-internal fan-out (`PlannerConfig::threads` semantics;
-    /// 0 = keep the planner default, the sequential engine).
-    threads: usize,
     /// Geo-sharding for the figure sweeps (`Cell::shards` semantics:
     /// 0 = the plain single-service path, K ≥ 1 = a `ShardedService`
     /// with K shards and `Borrow` seams). Sharding legitimately
@@ -66,7 +56,6 @@ impl Default for Opts {
             seed: 2018,
             parallel: false,
             repeats: 1,
-            threads: 0,
             shards: 0,
         }
     }
@@ -75,7 +64,7 @@ impl Default for Opts {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
-        eprintln!("usage: experiments <table4|table5|fig3|fig4|fig5|fig6|fig7|queries|hardness|congestion|fleet|all> [--city nyc|chengdu|both] [--scale N] [--seed S] [--parallel] [--threads N] [--shards K]");
+        eprintln!("usage: experiments <table4|table5|fig3|fig4|fig5|fig6|fig7|queries|hardness|congestion|fleet|all> [--city nyc|chengdu|both] [--scale N] [--seed S] [--parallel] [--shards K]");
         std::process::exit(2);
     };
     let mut opts = Opts::default();
@@ -103,10 +92,6 @@ fn main() {
                 opts.seed = args[i].parse().expect("--seed S");
             }
             "--parallel" => opts.parallel = true,
-            "--threads" => {
-                i += 1;
-                opts.threads = args[i].parse().expect("--threads N");
-            }
             "--shards" => {
                 i += 1;
                 opts.shards = args[i].parse().expect("--shards K");
@@ -139,7 +124,7 @@ fn main() {
         "ablation" => ablation(&opts, &mut out),
         "fleet" => fleet(&opts, &mut out),
         // `--congestion` is accepted as a command spelling so the
-        // knob reads like `--threads` / `--shards` on the CLI.
+        // knob reads like `--shards` on the CLI.
         "congestion" | "--congestion" => congestion(&opts, &mut out),
         "all" => {
             table4(&opts, &mut out);
@@ -408,7 +393,6 @@ fn figures(opts: &Opts, out: &mut impl Write, figs: &[&str]) {
             for fx in &fixtures {
                 let mut axis = axis_for(fig, fx);
                 for cell in &mut axis.cells {
-                    cell.threads = opts.threads;
                     cell.shards = opts.shards;
                 }
                 eprintln!("  {} ({}) on {}…", axis.figure, axis.label, city.name());
@@ -598,13 +582,7 @@ fn queries_experiment(fx: &CityFixture, out: &mut impl Write) {
         ],
     );
     let push_rows = |label: &str, cells: Vec<(String, Cell)>, t: &mut Table| {
-        for (tick, mut cell) in cells {
-            // Query counts are only meaningful sequentially: thread
-            // scheduling changes the probe set in either direction, so
-            // a threaded run would distort pruneGreedyDP's query count
-            // and misstate Lemma 8's savings. Pinned regardless of
-            // --threads.
-            cell.threads = 1;
+        for (tick, cell) in cells {
             let g = run_cell(&cell, Algo::GreedyDp);
             let p = run_cell(&cell, Algo::PruneGreedyDp);
             t.push(vec![
@@ -909,7 +887,7 @@ fn ablation(opts: &Opts, out: &mut impl Write) {
                 grid_cell_m: cell.grid_cell_m,
                 alpha: cell.alpha,
                 drain: true,
-                threads: opts.threads,
+                threads: 0,
                 congestion: None,
                 td_oracle: false,
                 classes: None,

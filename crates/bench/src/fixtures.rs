@@ -127,7 +127,6 @@ impl CityFixture {
             requests,
             grid_cell_m,
             alpha: self.sweep.alpha,
-            threads: 0,
             shards: 0,
             congestion: None,
             td_oracle: false,

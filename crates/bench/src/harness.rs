@@ -88,12 +88,6 @@ pub struct Cell {
     pub grid_cell_m: f64,
     /// Objective weight `α`.
     pub alpha: u64,
-    /// Planning fan-out override (`SimConfig::threads` semantics:
-    /// `0` = keep the planner's own configuration). When the cell is
-    /// sharded (`shards ≥ 1`), this instead drives the shard fan-out
-    /// pool (`ShardConfig::threads`, clamped to ≥ 1) and the per-shard
-    /// planners keep their own configuration.
-    pub threads: usize,
     /// Geo-sharding: `0` (the default) runs the plain single-service
     /// path; `K ≥ 1` runs the cell through a `ShardedService` with `K`
     /// shards under the default `Borrow` boundary policy.
@@ -142,18 +136,12 @@ pub fn run_cell(cell: &Cell, algo: Algo) -> CellResult {
         grid_cell_m: cell.grid_cell_m,
         alpha: cell.alpha,
         drain: true,
-        threads: cell.threads,
+        threads: 0,
         congestion: cell.congestion.clone(),
         td_oracle: cell.td_oracle,
         classes: cell.classes.clone(),
     };
     if cell.shards >= 1 {
-        // The cell's width drives the shard fan-out pool instead; the
-        // per-shard planners keep their own configuration.
-        let config = SimConfig {
-            threads: 0,
-            ..config
-        };
         return run_cell_sharded(cell, algo, counting, config);
     }
     // Streams out of the workload generators are sorted by construction.
@@ -200,7 +188,6 @@ fn run_cell_sharded(
         |_| algo.planner(cell.alpha, cell.grid_cell_m),
         ShardConfig {
             shards: cell.shards,
-            threads: cell.threads.max(1),
             sim,
             ..ShardConfig::default()
         },

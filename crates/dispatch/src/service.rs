@@ -8,7 +8,7 @@
 //! a full platform — its own `PlatformState`, boxed [`Planner`],
 //! worker motion and event
 //! log — so shards never contend on state and a broadcast can fan out
-//! over the PR-3 [`WorkPool`] (shards are `Send` because planners are).
+//! over a [`WorkPool`] (shards are `Send` because planners are).
 //!
 //! The seams are governed by a [`BoundaryPolicy`]:
 //!
@@ -95,8 +95,8 @@ pub struct ShardConfig {
     /// width produces identical outputs — shards are independent and
     /// the reply merge is deterministic; only wall-clock changes.
     pub threads: usize,
-    /// Per-shard simulation parameters (grid cell, α, drain, planner
-    /// fan-out override).
+    /// Per-shard simulation parameters (grid cell, α, drain, profile,
+    /// classes).
     pub sim: SimConfig,
 }
 

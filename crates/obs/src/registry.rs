@@ -43,11 +43,11 @@ pub struct Registry {
     pub plan_assigned: Counter,
     /// Requests rejected (no feasible/economic insertion).
     pub plan_rejected: Counter,
-    /// Requests planned on the fused-parallel path.
-    pub plan_parallel_requests: Counter,
     /// Linear-DP insertion probes executed.
     pub plan_probes: Counter,
-    /// Times the shared `AtomicMin` pruning bound was lowered.
+    /// Times pruneGreedyDP's Lemma 8 bound tightened: a probe found a
+    /// feasible `Δ` strictly below the best so far (GreedyDP never
+    /// prunes, so it records none).
     pub plan_bound_improvements: Counter,
     /// Per-request planning latency (nanoseconds).
     pub plan_latency_ns: ShardedHistogram,
@@ -156,7 +156,6 @@ impl Registry {
             plan_requests: Counter::new(),
             plan_assigned: Counter::new(),
             plan_rejected: Counter::new(),
-            plan_parallel_requests: Counter::new(),
             plan_probes: Counter::new(),
             plan_bound_improvements: Counter::new(),
             plan_latency_ns: ShardedHistogram::new(),
@@ -221,7 +220,6 @@ impl Registry {
             plan_requests: self.plan_requests.get(),
             plan_assigned: self.plan_assigned.get(),
             plan_rejected: self.plan_rejected.get(),
-            plan_parallel_requests: self.plan_parallel_requests.get(),
             plan_probes: self.plan_probes.get(),
             plan_bound_improvements: self.plan_bound_improvements.get(),
             plan_latency_ns: self.plan_latency_ns.summary(),
@@ -294,7 +292,6 @@ pub struct MetricsSnapshot {
     pub plan_requests: u64,
     pub plan_assigned: u64,
     pub plan_rejected: u64,
-    pub plan_parallel_requests: u64,
     pub plan_probes: u64,
     pub plan_bound_improvements: u64,
     pub plan_latency_ns: HistSummary,
@@ -359,7 +356,6 @@ impl MetricsSnapshot {
             ("plan_requests", self.plan_requests),
             ("plan_assigned", self.plan_assigned),
             ("plan_rejected", self.plan_rejected),
-            ("plan_parallel_requests", self.plan_parallel_requests),
             ("plan_probes", self.plan_probes),
             ("plan_bound_improvements", self.plan_bound_improvements),
         ] {

@@ -65,12 +65,6 @@ pub fn render_prometheus(reg: &Registry) -> String {
     );
     counter(
         &mut o,
-        "urpsm_plan_parallel_requests_total",
-        "Requests planned on the fused-parallel path",
-        reg.plan_parallel_requests.get(),
-    );
-    counter(
-        &mut o,
         "urpsm_plan_probes_total",
         "Linear-DP insertion probes executed",
         reg.plan_probes.get(),
@@ -78,7 +72,7 @@ pub fn render_prometheus(reg: &Registry) -> String {
     counter(
         &mut o,
         "urpsm_plan_bound_improvements_total",
-        "AtomicMin pruning-bound improvements",
+        "Lemma 8 pruning-bound tightenings (pruneGreedyDP)",
         reg.plan_bound_improvements.get(),
     );
     histogram(

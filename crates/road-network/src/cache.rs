@@ -9,8 +9,9 @@
 //! paths are cached directed and reversed on a mirrored hit.
 //!
 //! The distance cache is **sharded** [`DIS_SHARDS`] ways by a hash of
-//! the symmetric key: the parallel planning engine issues `dis`
-//! queries from many threads at once, and a single mutex in front of
+//! the symmetric key: the geo-sharded service's broadcast fan-out
+//! issues `dis` queries from several threads at once (every shard
+//! shares one oracle), and a single mutex in front of
 //! the hottest structure in the system would serialize them all.
 //! Sharding trades exact global recency for per-shard recency (each
 //! shard runs its own LRU over `capacity / DIS_SHARDS` entries), which

@@ -397,9 +397,9 @@ mod tests {
 
     #[test]
     fn counting_stays_exact_under_concurrency() {
-        // The parallel planning engine hammers one shared oracle from
-        // many threads; the §6.2 query statistics must stay *exact*,
-        // not approximately right.
+        // The sharded service's broadcast fan-out hits one shared
+        // oracle from many threads; the §6.2 query statistics must
+        // stay *exact*, not approximately right.
         let g = square();
         let c = CountingOracle::new(DijkstraOracle::new(g));
         const THREADS: usize = 8;

@@ -31,12 +31,9 @@ pub struct SimConfig {
     /// Whether workers finish their remaining stops after the last
     /// request (needed for exact distance accounting).
     pub drain: bool,
-    /// Planning fan-out override, applied to the planner through
-    /// [`urpsm_core::planner::Planner::set_threads`] when the service
-    /// opens. `0` (the default) keeps whatever the planner was
-    /// configured with, so replay determinism never depends on this
-    /// struct.
-    /// Any value produces identical outputs; only wall-clock changes.
+    /// Unread: the planners always plan sequentially. The field is kept
+    /// only because the benchmark harness (`perfbench/`) names it in
+    /// struct literals; the next change to the benchmark removes it.
     pub threads: usize,
     /// Time-dependent travel times: the congestion profile installed
     /// into the platform (DESIGN.md §7). `None` is free flow — the

@@ -1,33 +1,19 @@
-//! Dependency-free scoped-thread fan-out for the planning hot path.
+//! Dependency-free scoped-thread fan-out.
 //!
-//! The paper's Algo. 4/5 pipeline is embarrassingly parallel *per
-//! candidate worker*: Phase 1 computes an independent Euclidean lower
-//! bound per candidate, Phase 2 runs an independent linear-DP probe per
-//! candidate. This module provides the three primitives the parallel
-//! engine is built from, using nothing beyond `std`:
+//! Two primitives, using nothing beyond `std`:
 //!
 //! * [`WorkPool`] — a fixed-width fan-out built on
-//!   [`std::thread::scope`], so workers may borrow the platform state
+//!   [`std::thread::scope`], so workers may borrow the caller's state
 //!   (no `'static` bound, no `unsafe`). Thread 0 is the *calling*
 //!   thread: a pool of width `t` spawns only `t − 1` OS threads.
-//! * [`IndexFeed`] — an atomic work queue over `0..len`. Feeding
-//!   indices in ascending order is what lets Lemma 8's monotone-bound
-//!   argument carry over to the parallel scan (see
-//!   [`AtomicMin`]).
-//! * [`AtomicMin`] — a shared monotonically decreasing `u64` bound
-//!   (`fetch_min`). Used as the parallel best-`Δ` for Lemma 8 pruning.
+//! * [`IndexFeed`] — an atomic work queue over `0..len`.
 //!
-//! # Determinism
-//!
-//! Everything here is *extensionally* deterministic: thread scheduling
-//! changes which candidates get probed (a stale, too-high bound only
-//! ever widens the probe set), but never the reduced result, because
-//! the reduction is `min (Δ, worker_id)` over a probe set that provably
-//! contains every potential argmin — see the determinism argument in
-//! `DESIGN.md` §5 and the differential suite in
-//! `tests/parallel_equivalence.rs`.
+//! The geo-sharded service broadcasts fleet-wide events (clock ticks)
+//! to its shards over a [`WorkPool`], and the `experiments` binary
+//! spreads independent grid cells over one with an [`IndexFeed`]. The
+//! planners do not use either: Algo. 5 is one sequential scan.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of hardware threads, with a serial fallback when the
 /// platform cannot tell.
@@ -40,9 +26,8 @@ pub fn available_threads() -> usize {
 /// A fixed-width scoped fan-out: `threads` workers run a closure
 /// concurrently, borrowing from the caller's stack.
 ///
-/// Width 1 never touches the thread machinery — it is byte-for-byte
-/// the sequential path, which is why `threads = 1` (the default
-/// everywhere) reproduces the pre-parallel engine exactly.
+/// Width 1 never touches the thread machinery: the closure runs once,
+/// on the calling thread.
 #[derive(Debug, Clone)]
 pub struct WorkPool {
     threads: usize,
@@ -104,8 +89,8 @@ impl WorkPool {
     }
 
     /// Like [`WorkPool::run`], but hands worker `i` exclusive `&mut`
-    /// access to `states[i]` — the per-thread scratch-buffer pattern
-    /// (each planner thread owns an `InsertionScratch`).
+    /// access to `states[i]` (the shard broadcast hands each thread its
+    /// own chunk of shards).
     ///
     /// # Panics
     /// If `states.len() < self.threads()`.
@@ -153,11 +138,6 @@ impl Default for WorkPool {
 
 /// An atomic work queue over the indices `0..len`, handed out in
 /// ascending order.
-///
-/// Ascending order matters: the planning phase feeds candidates sorted
-/// by lower bound, so the *highest index any thread ever pulled* upper-
-/// bounds the lower bound of every unprobed candidate — the hinge of
-/// the parallel Lemma 8 argument.
 #[derive(Debug)]
 pub struct IndexFeed {
     next: AtomicUsize,
@@ -184,50 +164,9 @@ impl IndexFeed {
     }
 }
 
-/// A shared, monotonically decreasing `u64` (starts at `u64::MAX`).
-///
-/// The parallel planning phase publishes every exact `Δ` it computes;
-/// readers use the current value for Lemma 8 pruning. Relaxed ordering
-/// is sufficient for *correctness* (not just performance): a reader
-/// seeing a stale value sees a *larger* bound, which only makes the
-/// pruning less aggressive — the probe set grows, the argmin cannot
-/// change.
-#[derive(Debug)]
-pub struct AtomicMin(AtomicU64);
-
-impl AtomicMin {
-    /// A bound at `u64::MAX` (nothing observed yet).
-    pub fn new() -> Self {
-        AtomicMin(AtomicU64::new(u64::MAX))
-    }
-
-    /// The current minimum over all observed values.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Lowers the bound to `v` if `v` is smaller.
-    #[inline]
-    pub fn observe(&self, v: u64) {
-        let _prev = self.0.fetch_min(v, Ordering::Relaxed);
-        #[cfg(feature = "obs")]
-        if _prev > v {
-            urpsm_obs::with(|m| m.plan_bound_improvements.inc());
-        }
-    }
-}
-
-impl Default for AtomicMin {
-    fn default() -> Self {
-        AtomicMin::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn serial_pool_runs_on_the_calling_thread() {
@@ -287,21 +226,6 @@ mod tests {
         assert_eq!(counted.load(Ordering::Relaxed), 1_000);
         assert_eq!(sums.iter().sum::<usize>(), 999 * 1_000 / 2);
         assert_eq!(feed.next(), None);
-    }
-
-    #[test]
-    fn atomic_min_tracks_the_global_minimum() {
-        let bound = AtomicMin::new();
-        assert_eq!(bound.get(), u64::MAX);
-        let pool = WorkPool::new(4);
-        pool.run(|i| {
-            for k in 0..100u64 {
-                bound.observe(1_000 + (i as u64) * 97 + k * 13);
-            }
-        });
-        assert_eq!(bound.get(), 1_000);
-        bound.observe(5_000); // larger: no effect
-        assert_eq!(bound.get(), 1_000);
     }
 
     #[test]

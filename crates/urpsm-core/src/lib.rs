@@ -25,10 +25,8 @@
 //!   making the online setting of §2 a first-class API: arrivals,
 //!   cancellations, fleet churn and clock ticks.
 //! * [`exec`] — dependency-free scoped-thread fan-out
-//!   ([`exec::WorkPool`], [`exec::IndexFeed`], [`exec::AtomicMin`])
-//!   that the parallel planning engine is built from. The parallel
-//!   planner is extensionally identical to the sequential one
-//!   (`PlannerConfig::threads`, default 1).
+//!   ([`exec::WorkPool`], [`exec::IndexFeed`]) for the shard broadcast
+//!   and the experiment grid. The planners themselves are sequential.
 //! * [`objective`] — the unified cost (Eq. 1) and the three objective
 //!   reductions of §3.2, including the revenue identity Eq. (2)–(4).
 #![forbid(unsafe_code)]
@@ -50,7 +48,7 @@ pub mod types;
 pub mod prelude {
     pub use crate::decision::{decision_phase, DecisionOutcome};
     pub use crate::event::{EventRouting, PlatformEvent, ReassignPolicy, WorkerChange};
-    pub use crate::exec::{AtomicMin, IndexFeed, WorkPool};
+    pub use crate::exec::{IndexFeed, WorkPool};
     pub use crate::insertion::{
         basic_insertion, linear_dp_insertion, linear_dp_insertion_with, naive_dp_insertion,
         InsertionScratch,

@@ -53,18 +53,15 @@ pub struct PlannerConfig {
     /// only applies the economic test to the lower bound in the
     /// decision phase.
     pub strict_economics: bool,
-    /// Width of the planning fan-out (DESIGN.md §5): `1` (the default)
-    /// is the sequential engine byte for byte; `n > 1` runs the
-    /// decision-phase lower bounds and the exact linear-DP probes on
-    /// `n` scoped threads with a shared atomic best-`Δ` bound for
-    /// Lemma 8 pruning. Any width produces *identical* outputs — only
-    /// wall-clock and the number of pruned probes change. `0` means
-    /// one thread per hardware core.
+    /// Unread: the planners always plan sequentially, as Algo. 5
+    /// does. The field is kept only because the benchmark harness
+    /// (`perfbench/`) names it in struct literals; the next change to
+    /// the benchmark removes it.
     pub threads: usize,
 }
 
 impl Default for PlannerConfig {
-    /// `α = 1`, lax economics, the sequential engine (`threads: 1`).
+    /// `α = 1`, lax economics (`threads: 1` is unread).
     fn default() -> Self {
         PlannerConfig {
             alpha: 1,
@@ -128,12 +125,10 @@ pub trait Planner: Send {
     /// workers up through the grid index on every decision.
     fn on_worker_change(&mut self, _state: &mut PlatformState, _change: WorkerChange) {}
 
-    /// Re-sizes the planner's internal fan-out (`PlannerConfig::
-    /// threads` semantics: `1` sequential, `0` one-per-core). The
-    /// service layer plumbs its `SimConfig::threads` override through
-    /// this hook. Default: no-op — correct for planners without a
-    /// parallel engine; changing the width never changes any planner's
-    /// output, only its wall-clock.
+    /// Unread and never called: no planner has a fan-out. The hook is
+    /// kept only because the benchmark harness (`perfbench/`) overrides
+    /// it in its tracing decorator; the next change to the benchmark
+    /// removes it.
     fn set_threads(&mut self, _threads: usize) {}
 }
 
@@ -158,9 +153,6 @@ impl<P: Planner + ?Sized> Planner for Box<P> {
     }
     fn on_worker_change(&mut self, state: &mut PlatformState, change: WorkerChange) {
         (**self).on_worker_change(state, change)
-    }
-    fn set_threads(&mut self, threads: usize) {
-        (**self).set_threads(threads)
     }
 }
 
@@ -189,8 +181,5 @@ impl<P: Planner + ?Sized> Planner for &mut P {
     }
     fn on_worker_change(&mut self, state: &mut PlatformState, change: WorkerChange) {
         (**self).on_worker_change(state, change)
-    }
-    fn set_threads(&mut self, threads: usize) {
-        (**self).set_threads(threads)
     }
 }

@@ -1,25 +1,19 @@
-//! Per-thread planning arena (`PlanScratch`).
+//! The planning arena (`PlanScratch`).
 //!
-//! One planned insertion needs four kinds of temporary storage: the
-//! candidate shortlist of the decision phase, the per-thread Phase-1
-//! lower-bound collection of the fused-parallel engine, the linear-DP
-//! distance columns, and a probe route for the congestion
-//! re-feasibility check. Allocating any of them per request puts a
-//! `malloc` on the hot path; `PlanScratch` bundles all four into one
-//! arena owned by the planner engine — one instance per exec worker
-//! thread (index 0 doubles as the sequential engine's scratch) — and
-//! every buffer is `clear()`-reused, so a steady-state planned
-//! insertion touches the allocator zero times (gated by
+//! One planned insertion needs three kinds of temporary storage: the
+//! candidate shortlist of the decision phase, the linear-DP distance
+//! columns, and a probe route for the congestion re-feasibility check.
+//! Allocating any of them per request puts a `malloc` on the hot path;
+//! `PlanScratch` bundles all three into one arena owned by the planner
+//! engine, and every buffer is `clear()`-reused, so a steady-state
+//! planned insertion touches the allocator zero times (gated by
 //! `benches/alloc.rs` in `urpsm-bench`).
-
-use road_network::Cost;
 
 use crate::insertion::InsertionScratch;
 use crate::route::Route;
 use crate::shortlist::Shortlist;
-use crate::types::WorkerId;
 
-/// The reusable buffers one planning thread needs for one request.
+/// The reusable buffers the planner engine needs for one request.
 /// All fields survive across requests with retained capacity; none of
 /// them carry information between requests (the leak-freedom is pinned
 /// by `tests/scratch_reuse.rs`: a long-lived planner and a
@@ -27,12 +21,8 @@ use crate::types::WorkerId;
 #[derive(Debug, Default)]
 pub(crate) struct PlanScratch {
     /// SoA candidate shortlist: `(LBΔ*, worker)` columns plus the
-    /// ascending sort permutation (sequential engine only — the fused
-    /// engine publishes a merged shortlist through a `OnceLock`).
+    /// ascending sort permutation.
     pub shortlist: Shortlist,
-    /// Phase-1 lower-bound collection of the fused-parallel engine,
-    /// drained into the barrier leader's merge per request.
-    pub lbs: Vec<(Cost, WorkerId)>,
     /// Distance columns of the linear-DP insertion (Algo. 3).
     pub insertion: InsertionScratch,
     /// Probe route for the congestion re-feasibility gate:

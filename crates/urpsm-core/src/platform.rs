@@ -23,7 +23,7 @@
 //! at once ([`PlatformState`] is `Sync`); every *mutation* — commit,
 //! reject, movement, lifecycle — takes `&mut self` and therefore has
 //! the world to itself. [`FleetView`] is the read plane as a type: a
-//! borrow-checked snapshot the parallel planners fan out over.
+//! borrow-checked snapshot the decision and planning phases read.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -202,25 +202,10 @@ impl<'a> EligibleCandidates<'a> {
         self.ids.is_empty()
     }
 
-    /// The `i`-th eligible worker (ascending worker-id order) — the
-    /// random-access form the parallel engine's index feed consumes.
-    #[inline]
-    pub fn get(&self, i: usize) -> WorkerId {
-        self.ids[i]
-    }
-
     /// Iterates the eligible workers in ascending id order.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = WorkerId> + 'a {
         self.ids.iter().copied()
-    }
-
-    /// Crate-private escape hatch for the engines inside `urpsm-core`
-    /// (decision phase, fused planner). Deliberately not `pub`:
-    /// external planner crates can only consume the view.
-    #[inline]
-    pub(crate) fn as_ids(self) -> &'a [WorkerId] {
-        self.ids
     }
 
     /// Crate-private constructor for unit tests of the engines.
@@ -234,7 +219,7 @@ thread_local! {
     /// Scratch buffer for grid queries (avoids per-request allocation).
     /// Thread-local rather than a `PlatformState` field so that
     /// [`PlatformState::candidate_workers`] can take `&self` — the
-    /// query plane must be callable from many planner threads at once.
+    /// query plane must be callable from many threads at once.
     static GRID_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -894,8 +879,7 @@ impl PlatformState {
 /// A `FleetView` borrows the [`PlatformState`] immutably, so while any
 /// view is alive the borrow checker rules out commits, movement and
 /// lifecycle mutations; and because `PlatformState` is `Sync`, one view
-/// can be shared across every thread of a planning fan-out
-/// ([`crate::exec::WorkPool`]). It exposes exactly the operations the
+/// can be shared across threads. It exposes exactly the operations the
 /// decision and planning phases need.
 #[derive(Clone, Copy)]
 pub struct FleetView<'a> {

@@ -8,7 +8,7 @@
 //! permutation over them. The layout serves two masters:
 //!
 //! * **Zero steady-state allocation** — the arrays are owned by the
-//!   planner's per-thread `PlanScratch` and `clear()`-reused across
+//!   planner's `PlanScratch` and `clear()`-reused across
 //!   requests, so after warm-up a request never grows them.
 //! * **Cache behaviour** — the permutation sort touches only `u32`
 //!   indices and reads the dense `lbs` column, instead of shuffling
@@ -18,8 +18,8 @@
 //! `Vec<(Cost, WorkerId)>::sort_unstable()`: the sort key is the pair
 //! `(lbs[i], workers[i])`, and worker ids are unique within one
 //! request's candidate set, so the key is a total order and the
-//! permutation is unique — sequential, fused-parallel, and any thread
-//! width reproduce the exact same scan order.
+//! permutation is unique: the planner engine and the `Vec`-based
+//! decision phase scan in the exact same order.
 
 use road_network::Cost;
 
@@ -43,7 +43,8 @@ impl LowerBoundSink for Vec<(Cost, WorkerId)> {
 }
 
 /// The SoA candidate shortlist. See the module docs for layout and
-/// ordering guarantees.
+/// ordering guarantees. The default is empty, with no buffers yet:
+/// they grow on first use and are retained across [`Shortlist::clear`].
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Shortlist {
     /// Lower bounds, in push order.
@@ -56,12 +57,6 @@ pub(crate) struct Shortlist {
 }
 
 impl Shortlist {
-    /// An empty shortlist (no buffers yet — they grow on first use and
-    /// are retained across [`Shortlist::clear`]).
-    pub fn new() -> Self {
-        Shortlist::default()
-    }
-
     /// Drops all entries but keeps the allocated capacity.
     pub fn clear(&mut self) {
         self.lbs.clear();
@@ -77,15 +72,6 @@ impl Shortlist {
     /// `true` when no candidate survived the lower-bound filter.
     pub fn is_empty(&self) -> bool {
         self.lbs.is_empty()
-    }
-
-    /// Bulk append from the pairs the fused-parallel engine's threads
-    /// collected. Push order is irrelevant: [`Shortlist::sort_by_bound`]
-    /// erases it (total order, unique keys).
-    pub fn extend_from_pairs(&mut self, pairs: &[(Cost, WorkerId)]) {
-        for &(lb, w) in pairs {
-            self.push_bound(lb, w);
-        }
     }
 
     /// Sorts the permutation ascending by `(lb, worker)` — the exact
@@ -139,6 +125,12 @@ mod tests {
         shortlist.iter_sorted().collect()
     }
 
+    fn push_all(shortlist: &mut Shortlist, pairs: &[(Cost, WorkerId)]) {
+        for &(lb, w) in pairs {
+            shortlist.push_bound(lb, w);
+        }
+    }
+
     #[test]
     fn sorted_order_matches_tuple_sort() {
         let raw = [
@@ -148,8 +140,8 @@ mod tests {
             (50, WorkerId(4)),
             (100, WorkerId(1)),
         ];
-        let mut shortlist = Shortlist::new();
-        shortlist.extend_from_pairs(&raw);
+        let mut shortlist = Shortlist::default();
+        push_all(&mut shortlist, &raw);
         shortlist.sort_by_bound();
 
         let mut expect = raw.to_vec();
@@ -161,8 +153,8 @@ mod tests {
 
     #[test]
     fn clear_reuses_capacity() {
-        let mut shortlist = Shortlist::new();
-        shortlist.extend_from_pairs(&[(10, WorkerId(0)), (20, WorkerId(1))]);
+        let mut shortlist = Shortlist::default();
+        push_all(&mut shortlist, &[(10, WorkerId(0)), (20, WorkerId(1))]);
         shortlist.sort_by_bound();
         let caps = (
             shortlist.lbs.capacity(),
@@ -180,14 +172,14 @@ mod tests {
             ),
             caps
         );
-        shortlist.extend_from_pairs(&[(5, WorkerId(3))]);
+        push_all(&mut shortlist, &[(5, WorkerId(3))]);
         shortlist.sort_by_bound();
         assert_eq!(pairs(&shortlist), vec![(5, WorkerId(3))]);
     }
 
     #[test]
     fn empty_shortlist_is_well_behaved() {
-        let mut shortlist = Shortlist::new();
+        let mut shortlist = Shortlist::default();
         shortlist.sort_by_bound();
         assert!(shortlist.is_empty());
         assert_eq!(shortlist.min_lb(), None);

@@ -169,7 +169,7 @@ pub fn simulate(scenario: &Scenario, planner: &mut dyn Planner) -> SimOutcome {
 
 /// The platform parameters a [`Scenario`] carries: grid cell, `α`,
 /// congestion profile and class table; drained, free-flow overlay
-/// (no TD oracle), planner width left as configured.
+/// (no TD oracle).
 fn sim_config(scenario: &Scenario) -> SimConfig {
     SimConfig {
         grid_cell_m: scenario.grid_cell_m,

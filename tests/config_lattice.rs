@@ -2,10 +2,12 @@
 //! along, set explicitly, on one small seeded stream with cancellations
 //! and fleet churn.
 //!
-//! The axes are planner width {1, 4} × topology {plain
-//! `MobilityService`, `ShardedService` at K = 1 and K = 4} × profile
-//! {flat, `chengdu_two_peak`} × TD oracle {off, on} × fleet {single,
-//! mixed} × observability gate {off, on} — 96 cells. The stream spans
+//! The axes are topology {plain `MobilityService`, `ShardedService` at
+//! K = 1 and K = 4} × shard fan-out width {1, 4} (sharded cells only:
+//! it is `ShardConfig::threads`, and the plain service has no fan-out)
+//! × profile {flat, `chengdu_two_peak`} × TD oracle {off, on} × fleet
+//! {single, mixed} × observability gate {off, on} — 16 plain cells plus
+//! 64 sharded cells, 80 in total. The stream spans
 //! ten hours from midnight, so the two-peak profile's morning peak
 //! stretches part of it. Pinned:
 //!
@@ -44,6 +46,7 @@ enum Topology {
 
 #[derive(Clone, Copy, Debug)]
 struct Cell {
+    /// The shard broadcast's fan-out width; plain cells ignore it.
     width: usize,
     topology: Topology,
     two_peak: bool,
@@ -95,7 +98,7 @@ fn run(sc: &Scenario, cell: Cell) -> Run {
         Box::new(PruneGreedyDp::from_config(PlannerConfig {
             alpha: sc.alpha,
             strict_economics: false,
-            threads: cell.width,
+            ..PlannerConfig::default()
         }))
     };
     let stream = sc.event_stream();
@@ -169,7 +172,11 @@ fn every_lattice_cell_is_clean_and_the_equivalence_classes_hold() {
         for two_peak in [false, true] {
             for td_oracle in [false, true] {
                 for topology in topologies {
-                    for width in [1usize, 4] {
+                    let widths: &[usize] = match topology {
+                        Topology::Plain => &[1],
+                        Topology::Sharded(_) => &[1, 4],
+                    };
+                    for &width in widths {
                         for obs in [false, true] {
                             let cell = Cell {
                                 width,
@@ -216,7 +223,7 @@ fn every_lattice_cell_is_clean_and_the_equivalence_classes_hold() {
             );
         }
     }
-    assert_eq!(cells, 96);
+    assert_eq!(cells, 80);
 }
 
 /// Every former environment knob set to a non-default value changes no

@@ -2,8 +2,8 @@
 //! byte:
 //!
 //! * the **flat** profile (every multiplier exactly 1.0) is the
-//!   identity — event logs and costs equal the no-profile run at every
-//!   planner width (1/4) and shard count (1/4);
+//!   identity — event logs and costs equal the no-profile run, plain
+//!   and at shard counts 1/4;
 //! * a **peak** profile strictly increases planned arrival times on a
 //!   pinned trace while leaving the free-flow economics (Δ*, planned
 //!   distance) untouched;
@@ -20,16 +20,11 @@ use std::sync::Arc;
 use urpsm::prelude::*;
 use urpsm_core::event::PlatformEvent;
 
-fn run(
-    sc: &Scenario,
-    threads: usize,
-    congestion: Option<Arc<CongestionProfile>>,
-    td_oracle: bool,
-) -> SimOutcome {
+fn run(sc: &Scenario, congestion: Option<Arc<CongestionProfile>>, td_oracle: bool) -> SimOutcome {
     let cfg = PlannerConfig {
         alpha: sc.alpha,
         strict_economics: false,
-        threads,
+        ..PlannerConfig::default()
     };
     let planner: Box<dyn Planner> = Box::new(PruneGreedyDp::from_config(cfg));
     let stream = sc.event_stream();
@@ -110,31 +105,29 @@ fn flat() -> Option<Arc<CongestionProfile>> {
 }
 
 #[test]
-fn flat_profile_is_byte_identical_across_threads() {
+fn flat_profile_is_byte_identical_to_no_profile() {
     for seed in [3u64, 2018] {
         let sc = churny_scenario(seed);
-        let base = run(&sc, 1, None, false);
+        let base = run(&sc, None, false);
         assert!(base.audit_errors.is_empty(), "seed {seed}");
         assert!(
             base.metrics.cancelled > 0,
             "seed {seed}: scenario must exercise the cancel path"
         );
         for td in [false, true] {
-            for threads in [1usize, 4] {
-                for (label, congestion) in [("none", None), ("flat", flat())] {
-                    let other = run(&sc, threads, congestion, td);
-                    let cell = format!("seed {seed} td {td} threads {threads} profile {label}");
-                    assert_eq!(base.events, other.events, "{cell}: event log");
-                    assert_eq!(
-                        base.metrics.unified_cost, other.metrics.unified_cost,
-                        "{cell}: unified cost"
-                    );
-                    assert_eq!(
-                        base.metrics.driven_distance, other.metrics.driven_distance,
-                        "{cell}: driven"
-                    );
-                    assert!(other.audit_errors.is_empty(), "{cell}");
-                }
+            for (label, congestion) in [("none", None), ("flat", flat())] {
+                let other = run(&sc, congestion, td);
+                let cell = format!("seed {seed} td {td} profile {label}");
+                assert_eq!(base.events, other.events, "{cell}: event log");
+                assert_eq!(
+                    base.metrics.unified_cost, other.metrics.unified_cost,
+                    "{cell}: unified cost"
+                );
+                assert_eq!(
+                    base.metrics.driven_distance, other.metrics.driven_distance,
+                    "{cell}: driven"
+                );
+                assert!(other.audit_errors.is_empty(), "{cell}");
             }
         }
     }
@@ -143,7 +136,7 @@ fn flat_profile_is_byte_identical_across_threads() {
 #[test]
 fn flat_profile_is_byte_identical_across_shards() {
     let sc = churny_scenario(2018);
-    let base = run(&sc, 1, None, false);
+    let base = run(&sc, None, false);
     assert!(base.audit_errors.is_empty());
     for td in [false, true] {
         for shards in [1usize, 4] {
@@ -280,7 +273,7 @@ fn congested_cancellations_keep_economics_exact() {
     ));
 
     for td in [false, true] {
-        let out = run(&sc, 1, jam.clone(), td);
+        let out = run(&sc, jam.clone(), td);
         assert_eq!(out.audit_errors, Vec::<String>::new(), "td {td}");
         assert!(out.metrics.cancelled > 0, "cancel path must run congested");
         assert_eq!(
@@ -289,11 +282,12 @@ fn congested_cancellations_keep_economics_exact() {
             "td {td}: driven == Σ planned must survive congested cancellations"
         );
 
-        // Multi-threaded planning under congestion stays deterministic.
-        let par = run(&sc, 4, jam.clone(), td);
+        // A rerun meets the scenario oracle's warm cache and must
+        // replay the same congested log.
+        let again = run(&sc, jam.clone(), td);
         assert_eq!(
-            out.events, par.events,
-            "td {td}: threads changed a congested log"
+            out.events, again.events,
+            "td {td}: a rerun changed a congested log"
         );
 
         // And the geo-sharded plane keeps every shard's ledger exact.

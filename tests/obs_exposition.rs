@@ -9,7 +9,9 @@
 //! exposition must still render, parse and name every family — with
 //! all-zero values. With the feature on (the CI `obs-gate` job) the
 //! run must actually show up: planner requests, static-cache traffic,
-//! ingest ticks, WAL appends and flight-recorder records all nonzero.
+//! ingest ticks, WAL appends and flight-recorder records all nonzero,
+//! and Lemma 8 bound improvements recorded by pruneGreedyDP but never
+//! by GreedyDP.
 
 use urpsm::obs;
 use urpsm::prelude::*;
@@ -27,15 +29,27 @@ fn exposition_parses_and_covers_the_run() {
         .cancel_rate(0.1)
         .seed(11)
         .build();
-    let mut service = urpsm::service(&scenario, Box::new(PruneGreedyDp::new()));
-    for event in scenario.event_stream() {
-        service.submit(event);
-    }
-    let outcome = service.drain();
-    assert!(
-        outcome.audit_errors.is_empty(),
-        "{:?}",
-        outcome.audit_errors
+    let improvements = || obs::registry().plan_bound_improvements.get();
+    let run_plain = |planner: Box<dyn Planner>| {
+        let before = improvements();
+        let mut service = urpsm::service(&scenario, planner);
+        for event in scenario.event_stream() {
+            service.submit(event);
+        }
+        let outcome = service.drain();
+        assert!(
+            outcome.audit_errors.is_empty(),
+            "{:?}",
+            outcome.audit_errors
+        );
+        improvements() - before
+    };
+    // GreedyDP never prunes, so its bound never tightens.
+    let greedy_improvements = run_plain(Box::new(GreedyDp::new()));
+    let prune_improvements = run_plain(Box::new(PruneGreedyDp::new()));
+    assert_eq!(
+        greedy_improvements, 0,
+        "GreedyDP recorded bound improvements"
     );
 
     // Shard + handoff traffic through the dispatch plane.
@@ -92,6 +106,10 @@ fn exposition_parses_and_covers_the_run() {
         let snap = obs::registry().snapshot();
         assert!(snap.plan_requests > 0, "no planner traffic recorded");
         assert!(
+            prune_improvements > 0,
+            "pruneGreedyDP recorded no Lemma 8 bound improvement"
+        );
+        assert!(
             snap.dis_cache_hits + snap.dis_cache_misses > 0,
             "no oracle cache traffic recorded"
         );
@@ -117,6 +135,7 @@ fn exposition_parses_and_covers_the_run() {
     {
         let snap = obs::registry().snapshot();
         assert_eq!(snap.plan_requests, 0);
+        assert_eq!(prune_improvements, 0);
         assert_eq!(snap.ingest_ticks, 0);
         assert_eq!(snap.trace_recorded, 0);
     }

@@ -161,18 +161,6 @@ fn prune_greedy_scratch_reuse_is_invisible() {
 }
 
 #[test]
-fn prune_greedy_parallel_scratch_reuse_is_invisible() {
-    // The fused-parallel engine keeps one arena per pool thread; the
-    // leader's merged shortlist and every thread's probe route must be
-    // residue-free too.
-    for congested in [false, true] {
-        assert_reuse_invisible("pruneGreedyDP(t=4)", congested, || {
-            Box::new(PruneGreedyDp::with_threads(4))
-        });
-    }
-}
-
-#[test]
 fn kinetic_scratch_reuse_is_invisible() {
     // The kinetic baseline carries eleven persistent buffers (items,
     // DP table, DFS stacks, seed/probe routes, best/eval tails).

@@ -4,11 +4,11 @@
 //! * with a **flat** profile, routing committed legs through the
 //!   time-dependent oracle (`SimConfig::td_oracle`) is the identity —
 //!   event logs and costs equal the overlay-provider run *and* the
-//!   no-profile run at every planner width (1/4) and shard count
-//!   (1/4), because a flat TD query collapses to the static
-//!   hub-label/Dijkstra distance, bit for bit;
+//!   no-profile run, plain and at shard counts 1/4, because a flat TD
+//!   query collapses to the static hub-label/Dijkstra distance, bit for
+//!   bit;
 //! * with the **two-peak** profile the TD oracle stays audit-clean and
-//!   deterministic across threads, while actually rerouting (TD legs
+//!   deterministic across reruns, while actually rerouting (TD legs
 //!   never exceed the naive stretched overlay, and on a detour fixture
 //!   they beat it strictly).
 
@@ -46,16 +46,11 @@ fn run_with(
     service.drain()
 }
 
-fn run(
-    sc: &Scenario,
-    threads: usize,
-    congestion: Option<Arc<CongestionProfile>>,
-    td_oracle: bool,
-) -> SimOutcome {
+fn run(sc: &Scenario, congestion: Option<Arc<CongestionProfile>>, td_oracle: bool) -> SimOutcome {
     let cfg = PlannerConfig {
         alpha: sc.alpha,
         strict_economics: false,
-        threads,
+        ..PlannerConfig::default()
     };
     run_with(
         sc,
@@ -133,36 +128,34 @@ fn scenario_oracles_expose_their_backing_network() {
 }
 
 #[test]
-fn flat_td_oracle_is_byte_identical_across_threads() {
+fn flat_td_oracle_is_byte_identical_to_no_profile() {
     for seed in [3u64, 2018] {
         let sc = churny_scenario(seed);
-        let base = run(&sc, 1, None, false);
+        let base = run(&sc, None, false);
         assert!(base.audit_errors.is_empty(), "seed {seed}");
         assert!(
             base.metrics.cancelled > 0,
             "seed {seed}: scenario must exercise the cancel path"
         );
-        for threads in [1usize, 4] {
-            for (label, congestion, td) in [
-                ("overlay", flat(), false),
-                ("td", flat(), true),
-                ("td-no-profile", None, true),
-            ] {
-                let other = run(&sc, threads, congestion, td);
-                assert_eq!(
-                    base.events, other.events,
-                    "seed {seed} threads {threads} case {label}: event log"
-                );
-                assert_eq!(
-                    base.metrics.unified_cost, other.metrics.unified_cost,
-                    "seed {seed} threads {threads} case {label}: unified cost"
-                );
-                assert_eq!(
-                    base.metrics.driven_distance, other.metrics.driven_distance,
-                    "seed {seed} threads {threads} case {label}: driven"
-                );
-                assert!(other.audit_errors.is_empty());
-            }
+        for (label, congestion, td) in [
+            ("overlay", flat(), false),
+            ("td", flat(), true),
+            ("td-no-profile", None, true),
+        ] {
+            let other = run(&sc, congestion, td);
+            assert_eq!(
+                base.events, other.events,
+                "seed {seed} case {label}: event log"
+            );
+            assert_eq!(
+                base.metrics.unified_cost, other.metrics.unified_cost,
+                "seed {seed} case {label}: unified cost"
+            );
+            assert_eq!(
+                base.metrics.driven_distance, other.metrics.driven_distance,
+                "seed {seed} case {label}: driven"
+            );
+            assert!(other.audit_errors.is_empty());
         }
     }
 }
@@ -170,7 +163,7 @@ fn flat_td_oracle_is_byte_identical_across_threads() {
 #[test]
 fn flat_td_oracle_is_byte_identical_across_shards() {
     let sc = churny_scenario(2018);
-    let base = run(&sc, 1, None, false);
+    let base = run(&sc, None, false);
     assert!(base.audit_errors.is_empty());
     for shards in [1usize, 4] {
         let plain = run_sharded(&sc, shards, flat(), false);
@@ -189,14 +182,15 @@ fn flat_td_oracle_is_byte_identical_across_shards() {
     }
 }
 
-/// Two-peak TD runs stay audit-clean, deterministic across planner
-/// widths, and keep the economics ledger exact through cancellations.
+/// Two-peak TD runs stay audit-clean, deterministic across reruns (the
+/// second run meets the scenario oracle's warm cache), and keep the
+/// economics ledger exact through cancellations.
 #[test]
 fn congested_td_runs_stay_exact_and_deterministic() {
     let sc = churny_scenario(2018);
     let jam: Option<Arc<CongestionProfile>> = Some(Arc::new(CongestionProfile::chengdu_two_peak()));
 
-    let out = run(&sc, 1, jam.clone(), true);
+    let out = run(&sc, jam.clone(), true);
     assert_eq!(out.audit_errors, Vec::<String>::new());
     assert!(out.metrics.cancelled > 0, "cancel path must run congested");
     assert_eq!(
@@ -205,8 +199,8 @@ fn congested_td_runs_stay_exact_and_deterministic() {
         "driven == Σ planned must survive TD rerouting"
     );
 
-    let par = run(&sc, 4, jam.clone(), true);
-    assert_eq!(out.events, par.events, "threads changed a TD log");
+    let again = run(&sc, jam.clone(), true);
+    assert_eq!(out.events, again.events, "a rerun changed a TD log");
 
     let sharded = run_sharded(&sc, 4, jam, true);
     assert_eq!(sharded.audit_errors, Vec::<String>::new());
